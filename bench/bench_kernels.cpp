@@ -75,6 +75,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,45 +99,41 @@ namespace {
 using namespace hayat;
 using Clock = std::chrono::steady_clock;
 
-/// Forces one RcSolver backend for the models built inside a scope
-/// (models resolve HAYAT_DENSE_SOLVER once, at build()).
-class ScopedBackend {
- public:
-  explicit ScopedBackend(bool dense) {
-    setenv("HAYAT_DENSE_SOLVER", dense ? "1" : "0", 1);
-  }
-  ~ScopedBackend() { unsetenv("HAYAT_DENSE_SOLVER"); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-};
-
-/// Forces the scalar (bisection-per-core) aging reference for the chips
-/// built inside a scope (AgingTable resolves HAYAT_SCALAR_AGING once, at
-/// construction).
-class ScopedScalarAging {
- public:
-  explicit ScopedScalarAging(bool scalar) {
-    setenv("HAYAT_SCALAR_AGING", scalar ? "1" : "0", 1);
-  }
-  ~ScopedScalarAging() { unsetenv("HAYAT_SCALAR_AGING"); }
-  ScopedScalarAging(const ScopedScalarAging&) = delete;
-  ScopedScalarAging& operator=(const ScopedScalarAging&) = delete;
-};
-
-/// Sets one of the §3.13 opt-out twins (HAYAT_NO_THERMAL_MEMO /
-/// HAYAT_NO_THERMAL_EARLYEXIT) for the scope.  EpochSimulator::run reads
-/// them per call, so no rebuild is needed.
+/// Sets an environment flag to "1" or "0" for the scope, then restores
+/// the value the caller had (or unsets it, if it was unset).
 class ScopedEnvFlag {
  public:
   ScopedEnvFlag(const char* name, bool on) : name_(name) {
+    if (const char* old = std::getenv(name)) previous_ = old;
     setenv(name, on ? "1" : "0", 1);
   }
-  ~ScopedEnvFlag() { unsetenv(name_); }
+  ~ScopedEnvFlag() {
+    if (previous_)
+      setenv(name_, previous_->c_str(), 1);
+    else
+      unsetenv(name_);
+  }
   ScopedEnvFlag(const ScopedEnvFlag&) = delete;
   ScopedEnvFlag& operator=(const ScopedEnvFlag&) = delete;
 
  private:
   const char* name_;
+  std::optional<std::string> previous_;
+};
+
+/// Forces one RcSolver backend for the models built inside a scope
+/// (models resolve HAYAT_DENSE_SOLVER once, at build()).
+struct ScopedBackend : ScopedEnvFlag {
+  explicit ScopedBackend(bool dense)
+      : ScopedEnvFlag("HAYAT_DENSE_SOLVER", dense) {}
+};
+
+/// Forces the scalar (bisection-per-core) aging reference for the chips
+/// built inside a scope (AgingTable resolves HAYAT_SCALAR_AGING once, at
+/// construction).
+struct ScopedScalarAging : ScopedEnvFlag {
+  explicit ScopedScalarAging(bool scalar)
+      : ScopedEnvFlag("HAYAT_SCALAR_AGING", scalar) {}
 };
 
 double elapsedNs(const Clock::time_point& t0) {

@@ -108,9 +108,11 @@ AgingTable::AgingTable(const NbtiModel& nbti, const CorePathSet& paths,
   HAYAT_REQUIRE(config.temperatureMax > config.temperatureMin,
                 "empty temperature range");
   HAYAT_REQUIRE(config.maxAge > 0.0, "maxAge must be positive");
-  table_.fill([&](double t, double d, double y) {
-    return paths.delayFactor(nbti, t, d, y);
-  });
+  const std::vector<double> values = paths.delayFactorGrid(
+      nbti, table_.axis0().points(), table_.axis1().points(),
+      table_.axis2().points());
+  std::size_t next = 0;  // fill() visits nodes in the grid's row-major order
+  table_.fill([&](double, double, double) { return values[next++]; });
   grid_ = TrilinearGrid(table_);
 }
 

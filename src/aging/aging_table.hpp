@@ -57,7 +57,9 @@ class AgingTable {
   using Cursor = TrilinearGrid::Cursor;
 
   /// Populates the table from the gate-level model.  This is the
-  /// "start-up time effort": ~13 x 11 x 14 full path-set evaluations.
+  /// "start-up time effort": the 13 x 11 x 14 grid nodes in one
+  /// CorePathSet::delayFactorGrid pass, bitwise equal to evaluating
+  /// CorePathSet::delayFactor at every node.
   AgingTable(const NbtiModel& nbti, const CorePathSet& paths,
              const AgingTableConfig& config = {});
 

@@ -121,4 +121,54 @@ double CorePathSet::delayFactor(const NbtiModel& nbti, Kelvin temperature,
   return worst / nominalDelay_;
 }
 
+std::vector<double> CorePathSet::delayFactorGrid(
+    const NbtiModel& nbti, const std::vector<double>& temperatures,
+    const std::vector<double>& duties, const std::vector<double>& ages) const {
+  std::size_t elementCount = 0;
+  for (const CriticalPath& p : paths_) elementCount += p.elements().size();
+
+  std::vector<double> ageFactor(ages.size());
+  for (std::size_t k = 0; k < ages.size(); ++k)
+    ageFactor[k] = nbti.ageFactor(ages[k]);
+
+  // Duty factor of every element's stress duty at every core duty; the
+  // temperature factor multiplies it below, as in stressPrefactor().
+  std::vector<double> dutyFactor(duties.size() * elementCount);
+  for (std::size_t j = 0; j < duties.size(); ++j) {
+    const double coreDuty = duties[j];
+    HAYAT_REQUIRE(coreDuty >= 0.0 && coreDuty <= 1.0,
+                  "core duty must be in [0, 1]");
+    double* row = dutyFactor.data() + j * elementCount;
+    for (const CriticalPath& p : paths_)
+      for (const LogicElement& le : p.elements())
+        *row++ = nbti.dutyFactor(std::min(1.0, le.dutyWeight * coreDuty));
+  }
+
+  std::vector<double> out(temperatures.size() * duties.size() * ages.size());
+  std::vector<double> prefactor(elementCount);
+  double* node = out.data();
+  for (const double temperature : temperatures) {
+    const double k = nbti.temperatureFactor(temperature);
+    for (std::size_t j = 0; j < duties.size(); ++j) {
+      const double* row = dutyFactor.data() + j * elementCount;
+      for (std::size_t e = 0; e < elementCount; ++e)
+        prefactor[e] = k * row[e];
+      for (const double y : ageFactor) {
+        Seconds worst = 0.0;
+        const double* pre = prefactor.data();
+        for (const CriticalPath& p : paths_) {
+          Seconds total = 0.0;
+          for (const LogicElement& le : p.elements()) {
+            const double factor = nbti.delayFactorFromDeltaVth(*pre++ * y);
+            total += le.nominalDelay * factor;
+          }
+          worst = std::max(worst, total);
+        }
+        *node++ = worst / nominalDelay_;
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace hayat

@@ -87,6 +87,20 @@ class CorePathSet {
   double delayFactor(const NbtiModel& nbti, Kelvin temperature,
                      double coreDuty, Years age) const;
 
+  /// delayFactor() at every node of a temperature x duty x age grid,
+  /// row-major with age innermost: out[(i * duties + j) * ages + k] =
+  /// delayFactor(nbti, temperatures[i], duties[j], ages[k]), bitwise.
+  /// Each factor of Eq. (7) is computed once for the coordinates it
+  /// depends on — the temperature factor per T, the element prefactor
+  /// per (T, duty, element), the age factor per age — and every node
+  /// then runs delayFactor()'s per-element alpha-power law, path sums,
+  /// max and division in the same order.  This is the aging table's
+  /// fill; delayFactor() stays as its reference.
+  std::vector<double> delayFactorGrid(const NbtiModel& nbti,
+                                      const std::vector<double>& temperatures,
+                                      const std::vector<double>& duties,
+                                      const std::vector<double>& ages) const;
+
  private:
   std::vector<CriticalPath> paths_;
   Seconds nominalDelay_ = 0.0;

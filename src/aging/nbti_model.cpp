@@ -16,18 +16,30 @@ NbtiModel::NbtiModel(NbtiConfig config) : config_(config) {
                 "timeExponent must be in (0, 1)");
 }
 
-double NbtiModel::stressPrefactor(Kelvin temperature, double duty) const {
+double NbtiModel::temperatureFactor(Kelvin temperature) const {
   HAYAT_REQUIRE(temperature > 0.0, "temperature must be positive kelvin");
-  HAYAT_REQUIRE(duty >= 0.0 && duty <= 1.0, "duty cycle must be in [0, 1]");
   const double vdd4 = std::pow(config_.vdd, 4.0);
-  return config_.techScale * 0.05 * std::exp(-1500.0 / temperature) * vdd4 *
-         std::pow(duty, config_.timeExponent);
+  return config_.techScale * 0.05 * std::exp(-1500.0 / temperature) * vdd4;
+}
+
+double NbtiModel::dutyFactor(double duty) const {
+  HAYAT_REQUIRE(duty >= 0.0 && duty <= 1.0, "duty cycle must be in [0, 1]");
+  return std::pow(duty, config_.timeExponent);
+}
+
+double NbtiModel::ageFactor(Years age) const {
+  HAYAT_REQUIRE(age >= 0.0, "age must be non-negative");
+  return std::pow(age, config_.timeExponent);
+}
+
+double NbtiModel::stressPrefactor(Kelvin temperature, double duty) const {
+  const double k = temperatureFactor(temperature);
+  return k * dutyFactor(duty);
 }
 
 Volts NbtiModel::deltaVth(Kelvin temperature, double duty, Years age) const {
-  HAYAT_REQUIRE(age >= 0.0, "age must be non-negative");
-  return stressPrefactor(temperature, duty) *
-         std::pow(age, config_.timeExponent);
+  const double k = stressPrefactor(temperature, duty);
+  return k * ageFactor(age);
 }
 
 double NbtiModel::delayFactorFromDeltaVth(Volts dVth) const {

@@ -42,11 +42,23 @@ class NbtiModel {
  public:
   explicit NbtiModel(NbtiConfig config = {});
 
-  /// Eq. (7) threshold shift [V]. age >= 0 years, duty in [0, 1].
+  /// Eq. (7) threshold shift [V]. age >= 0 years, duty in [0, 1]:
+  /// stressPrefactor(T, d) * ageFactor(y).
   Volts deltaVth(Kelvin temperature, double duty, Years age) const;
 
-  /// The (T, d)-dependent prefactor K with dVth = K * y^(1/6).
+  /// The (T, d)-dependent prefactor K with dVth = K * y^(1/6):
+  /// temperatureFactor(T) * dutyFactor(d), multiplied in that order.
   double stressPrefactor(Kelvin temperature, double duty) const;
+
+  /// The three factors of Eq. (7), each depending on one coordinate, so
+  /// a grid evaluation can compute each once per coordinate value and
+  /// still multiply them exactly as deltaVth() does.
+  /// techScale * 0.05 * exp(-1500 / T) * Vdd^4 [V]; T > 0.
+  double temperatureFactor(Kelvin temperature) const;
+  /// d^(1/6); duty in [0, 1].
+  double dutyFactor(double duty) const;
+  /// y^(1/6); age >= 0.
+  double ageFactor(Years age) const;
 
   /// Relative delay D(dVth)/D(0) >= 1 via the alpha-power law.
   double delayFactorFromDeltaVth(Volts dVth) const;

@@ -1,7 +1,9 @@
 #include "arch/chip.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -9,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/span.hpp"
 
 namespace hayat {
 
@@ -31,13 +34,22 @@ CorePathSet synthesizePaths(const ChipConfig& config, std::uint64_t seed) {
 /// The paper calls the 3D table "only a start-up time effort for a given
 /// chip"; a sweep's tasks rebuild the *same* chip (identical config and
 /// seed) once per task, so without sharing every task pays the full
-/// table-generation cost again.  Same idiom as the thermal model's
-/// SharedTransientCache: strong references with a small LRU cap.
+/// table-generation cost again.  Strong references with a small LRU cap.
+///
+/// The mutex guards only the entry list, never a build: a miss publishes
+/// an in-flight entry and builds outside the lock, callers with the same
+/// key wait on that one build, and callers with other keys build in
+/// parallel.
 struct SharedAgingTableCache {
+  using Table = std::shared_future<std::shared_ptr<const AgingTable>>;
+  struct Entry {
+    std::string key;
+    Table table;              ///< ready, or in flight on its builder
+    std::uint64_t build = 0;  ///< which build published the entry
+  };
   std::mutex mutex;
-  /// Most recently used at the back.
-  std::vector<std::pair<std::string, std::shared_ptr<const AgingTable>>>
-      entries;
+  std::vector<Entry> entries;  ///< most recently used at the back
+  std::uint64_t builds = 0;
 };
 
 SharedAgingTableCache& sharedAgingTableCache() {
@@ -77,6 +89,18 @@ std::string agingTableKey(const ChipConfig& config, std::uint64_t seed) {
   return key;
 }
 
+void countAgingTableLookup(const char* name) {
+  if (telemetry::enabled())
+    telemetry::Registry::global().counter(name).add();
+}
+
+std::shared_ptr<const AgingTable> buildAgingTable(const ChipConfig& config,
+                                                  const NbtiModel& nbti,
+                                                  const CorePathSet& paths) {
+  const telemetry::Span span("chip.aging_table");
+  return std::make_shared<const AgingTable>(nbti, paths, config.agingTable);
+}
+
 std::shared_ptr<const AgingTable> obtainAgingTable(const ChipConfig& config,
                                                    const NbtiModel& nbti,
                                                    const CorePathSet& paths,
@@ -86,37 +110,56 @@ std::shared_ptr<const AgingTable> obtainAgingTable(const ChipConfig& config,
   // cache so A/B comparisons time the original start-up cost.  Tables
   // also record the env flag at construction, so a cached batched-mode
   // table must never be handed to a scalar-mode chip (or vice versa).
-  if (scalarAgingRequested())
-    return std::make_shared<const AgingTable>(nbti, paths, config.agingTable);
+  if (scalarAgingRequested()) return buildAgingTable(config, nbti, paths);
 
   const std::string key = agingTableKey(config, seed);
   SharedAgingTableCache& shared = sharedAgingTableCache();
-  const std::scoped_lock lock(shared.mutex);
-  for (std::size_t i = 0; i < shared.entries.size(); ++i) {
-    if (shared.entries[i].first != key) continue;
-    auto entry = shared.entries[i];
-    shared.entries.erase(shared.entries.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-    shared.entries.push_back(entry);  // refresh LRU position
-    if (telemetry::enabled()) {
-      static telemetry::Counter& hits = telemetry::Registry::global().counter(
-          "hayat_aging_table_shared_hits_total");
-      hits.add();
+  SharedAgingTableCache::Table cached;
+  std::promise<std::shared_ptr<const AgingTable>> promise;
+  std::uint64_t build = 0;
+  {
+    const std::scoped_lock lock(shared.mutex);
+    const auto it = std::find_if(
+        shared.entries.begin(), shared.entries.end(),
+        [&key](const SharedAgingTableCache::Entry& e) { return e.key == key; });
+    if (it != shared.entries.end()) {
+      cached = it->table;
+      std::rotate(it, it + 1, shared.entries.end());  // refresh LRU position
+      const bool ready = cached.wait_for(std::chrono::seconds(0)) ==
+                         std::future_status::ready;
+      countAgingTableLookup(ready ? "hayat_aging_table_shared_hits_total"
+                                  : "hayat_aging_table_shared_waits_total");
+    } else {
+      countAgingTableLookup("hayat_aging_table_shared_misses_total");
+      build = ++shared.builds;
+      shared.entries.push_back({key, promise.get_future().share(), build});
+      if (shared.entries.size() > kSharedAgingTableCacheCap)
+        shared.entries.erase(shared.entries.begin());
     }
-    return entry.second;
   }
+  // Outside the lock: waits on an in-flight build, and rethrows the
+  // builder's exception if that build failed.
+  if (cached.valid()) return cached.get();
 
-  if (telemetry::enabled()) {
-    static telemetry::Counter& misses = telemetry::Registry::global().counter(
-        "hayat_aging_table_shared_misses_total");
-    misses.add();
+  try {
+    auto table = buildAgingTable(config, nbti, paths);
+    promise.set_value(table);
+    return table;
+  } catch (...) {
+    // Unpublish before failing the waiters, so a later call retries the
+    // build instead of inheriting this failure.
+    {
+      const std::scoped_lock lock(shared.mutex);
+      const auto it = std::find_if(
+          shared.entries.begin(), shared.entries.end(),
+          [build](const SharedAgingTableCache::Entry& e) {
+            return e.build == build;
+          });
+      if (it != shared.entries.end()) shared.entries.erase(it);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
   }
-  auto table =
-      std::make_shared<const AgingTable>(nbti, paths, config.agingTable);
-  shared.entries.emplace_back(key, table);
-  if (shared.entries.size() > kSharedAgingTableCacheCap)
-    shared.entries.erase(shared.entries.begin());
-  return table;
 }
 
 }  // namespace

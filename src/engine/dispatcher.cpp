@@ -120,15 +120,9 @@ bool Dispatcher::spawn(Worker& worker, int slot) {
   int fd = -1;
   pid_t pid = -1;
   switch (worker.endpoint.kind) {
-    case WorkerEndpoint::Kind::Fork: {
-      // Children must not keep sibling sockets open, or a sibling's EOF
-      // would never be observed.
-      std::vector<int> siblings;
-      for (const Worker& other : workers_)
-        if (other.fd >= 0) siblings.push_back(other.fd);
-      pid = spawnForkWorker(fd, siblings, slot);
+    case WorkerEndpoint::Kind::Fork:
+      pid = spawnForkWorker(fd, slot);
       break;
-    }
     case WorkerEndpoint::Kind::Exec:
       pid = spawnExecWorker(execBinary(), fd, slot);
       break;

@@ -312,8 +312,28 @@ int runWorkerLoop(int inFd, int outFd) {
   return 0;  // coordinator hung up
 }
 
-pid_t spawnForkWorker(int& fd, const std::vector<int>& closeInChild,
-                      int slot) {
+namespace {
+
+/// In a freshly forked worker: closes every inherited fd above stderr
+/// except `keep` (-1 keeps none).  A sibling worker's socket held here
+/// would hide that sibling's EOF, and a serve daemon's listening and
+/// client sockets would outlive the daemon's own close: a client would
+/// not see its response end, and a restarted daemon could not bind its
+/// port while the worker lives.
+void closeInheritedFds(int keep) {
+  constexpr unsigned kFirst = STDERR_FILENO + 1;
+  if (keep < 0) {
+    ::close_range(kFirst, ~0U, 0);
+    return;
+  }
+  const unsigned k = static_cast<unsigned>(keep);
+  if (k > kFirst) ::close_range(kFirst, k - 1, 0);
+  ::close_range(k + 1, ~0U, 0);
+}
+
+}  // namespace
+
+pid_t spawnForkWorker(int& fd, int slot) {
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
     return -1;
@@ -324,8 +344,7 @@ pid_t spawnForkWorker(int& fd, const std::vector<int>& closeInChild,
     return -1;
   }
   if (pid == 0) {
-    ::close(sv[0]);
-    for (const int other : closeInChild) ::close(other);
+    closeInheritedFds(sv[1]);
     // The child inherited the coordinator's installed fault plan; only
     // the write-side coordinator rules must not fire here, the
     // worker-side rules are re-read from the environment.
@@ -350,9 +369,10 @@ pid_t spawnExecWorker(const std::string& binary, int& fd, int slot) {
     return -1;
   }
   if (pid == 0) {
-    // dup2 clears CLOEXEC, so exactly stdin/stdout survive the exec.
+    // The socket becomes stdin/stdout; nothing else but stderr survives.
     ::dup2(sv[1], STDIN_FILENO);
     ::dup2(sv[1], STDOUT_FILENO);
+    closeInheritedFds(-1);
     if (slot >= 0)
       ::setenv("HAYAT_FAULT_WORKER", std::to_string(slot).c_str(), 1);
     ::execlp(binary.c_str(), binary.c_str(), "worker", "--stdio",

@@ -35,7 +35,6 @@
 #include <sys/types.h>
 
 #include <string>
-#include <vector>
 
 namespace hayat::engine {
 
@@ -44,13 +43,13 @@ namespace hayat::engine {
 int runWorkerLoop(int inFd, int outFd);
 
 /// Forks a worker child running runWorkerLoop over a socketpair; the
-/// child closes every fd in `closeInChild` first (sibling workers'
-/// sockets, so their EOFs stay observable) and clears any inherited
-/// coordinator-side fault plan.  `slot >= 0` is exported to the child as
+/// child first closes every inherited fd but stdio and its socket
+/// (sibling workers' sockets, so their EOFs stay observable, and any
+/// sockets the parent serves) and clears any inherited coordinator-side
+/// fault plan.  `slot >= 0` is exported to the child as
 /// HAYAT_FAULT_WORKER so worker-addressed fault rules find it.  Returns
 /// the child pid and stores the coordinator-side fd, or returns -1.
-pid_t spawnForkWorker(int& fd, const std::vector<int>& closeInChild = {},
-                      int slot = -1);
+pid_t spawnForkWorker(int& fd, int slot = -1);
 
 /// Fork/execs `binary worker --stdio` with the socketpair on its
 /// stdin/stdout (HAYAT_FAULT_WORKER=slot in its environment when

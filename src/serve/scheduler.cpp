@@ -83,8 +83,9 @@ engine::SweepTable SpecRun::table() const {
 
 // ------------------------------------------------------ SweepScheduler
 
-SweepScheduler::SweepScheduler(SchedulerConfig config)
-    : config_(std::move(config)) {
+SweepScheduler::SweepScheduler(SchedulerConfig config,
+                               std::function<void()> onRunFinished)
+    : config_(std::move(config)), onRunFinished_(std::move(onRunFinished)) {
   cacheEnabled_ = config_.cache &&
                   std::getenv("HAYAT_NO_CACHE") == nullptr &&
                   std::getenv("HAYAT_NO_SWEEP_CACHE") == nullptr;
@@ -292,6 +293,7 @@ bool SweepScheduler::nextWork(Work& out) {
 void SweepScheduler::completeWork(const Work& work, bool ok,
                                   const RunResult& result,
                                   const std::string& error) {
+  bool finished = false;
   bool storeNow = false;
   engine::SweepTable table;
   ExperimentSpec spec;
@@ -309,15 +311,14 @@ void SweepScheduler::completeWork(const Work& work, bool ok,
       active_.erase(std::remove(active_.begin(), active_.end(), work.run),
                     active_.end());
       count("hayat_serve_runs_failed_total");
-      rowCv_.notify_all();
-      return;
-    }
-    if (cell.state != SpecRun::CellState::Done) {
+      finished = true;
+    } else if (cell.state != SpecRun::CellState::Done) {
       cell.result = result;
       cell.row = canonicalRow(result);
       cell.state = SpecRun::CellState::Done;
       ++run.done_;
       count("hayat_serve_tasks_executed_total");
+      finished = run.done_ == static_cast<int>(run.cells_.size());
     }
     if (run.done_ == static_cast<int>(run.cells_.size()) && !run.stored_ &&
         cacheEnabled_ && !run.failed_) {
@@ -338,6 +339,9 @@ void SweepScheduler::completeWork(const Work& work, bool ok,
     if (engine::storeCachedTable(cacheDir_, spec, table))
       count("hayat_serve_table_cache_stores_total");
   }
+  // After the store, so a job the listener retires as completed has its
+  // table on disk.
+  if (finished && onRunFinished_) onRunFinished_();
 }
 
 void SweepScheduler::laneLoop(std::size_t laneIdx) {

@@ -33,6 +33,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -112,7 +113,11 @@ class SpecRun {
 
 class SweepScheduler {
  public:
-  explicit SweepScheduler(SchedulerConfig config);
+  /// `onRunFinished`, when set, is called whenever a run completes its
+  /// last task or fails — from a lane thread, outside the scheduler's
+  /// lock.  The serve pump wakes on it.
+  explicit SweepScheduler(SchedulerConfig config,
+                          std::function<void()> onRunFinished = {});
   ~SweepScheduler();
 
   SweepScheduler(const SweepScheduler&) = delete;
@@ -170,6 +175,7 @@ class SweepScheduler {
   void killLane(Lane& lane);
 
   SchedulerConfig config_;
+  std::function<void()> onRunFinished_;
   bool cacheEnabled_ = true;
   std::string cacheDir_;
 

@@ -84,7 +84,8 @@ ServeServer::ServeServer(ServeConfig config)
   sched.cache = config_.cache;
   sched.cacheDir = config_.cacheDir;
   sched.taskTimeoutSeconds = config_.taskTimeoutSeconds;
-  scheduler_ = std::make_unique<SweepScheduler>(sched);
+  scheduler_ =
+      std::make_unique<SweepScheduler>(sched, [this] { notifyEvent(); });
 }
 
 ServeServer::~ServeServer() { stop(); }
@@ -118,12 +119,29 @@ bool ServeServer::start() {
 void ServeServer::beginDrain() {
   draining_.store(true);
   count("hayat_serve_drains_total");
+  notifyEvent();
+}
+
+void ServeServer::notifyEvent() {
+  {
+    std::lock_guard<std::mutex> lock(eventMutex_);
+    ++events_;
+  }
+  eventCv_.notify_all();
 }
 
 void ServeServer::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   stopping_.store(true);
+  {
+    // Wake the pump and every stream waiting out the queued phase, and
+    // let those streams answer 503 before their sockets are shut down.
+    std::unique_lock<std::mutex> lock(eventMutex_);
+    ++events_;
+    eventCv_.notify_all();
+    eventCv_.wait(lock, [this] { return queuedStreams_ == 0; });
+  }
   if (listenFd_ >= 0) {
     ::shutdown(listenFd_, SHUT_RDWR);
     ::close(listenFd_);
@@ -182,45 +200,62 @@ void ServeServer::pumpLoop() {
       telemetry::Registry::global().gauge("hayat_serve_backlog_tasks");
   auto& runningGauge =
       telemetry::Registry::global().gauge("hayat_serve_jobs_running");
+  // One pass at start admits jobs replayed from the journal; after that,
+  // one pass per batch of events.
+  std::uint64_t seen = 0;
   while (!stopping_.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    bool changed = false;
+    {
+      std::lock_guard<std::mutex> lock(runningMutex_);
+      // Retire finished runs.
+      for (auto it = running_.begin(); it != running_.end();) {
+        const std::string& id = it->first;
+        RunningJob& info = it->second;
+        if (info.run->failed()) {
+          queue_.setState(id, JobState::Failed, info.run->error());
+          scheduler_->detach(id, info.run);
+          count("hayat_serve_jobs_failed_total");
+          it = running_.erase(it);
+          changed = true;
+        } else if (info.run->complete()) {
+          queue_.setState(id, JobState::Completed);
+          const double seconds =
+              std::chrono::duration<double>(steady_clock::now() -
+                                            info.started)
+                  .count();
+          jobLatencyHistogram().observe(seconds);
+          scheduler_->detach(id, info.run);
+          count("hayat_serve_jobs_completed_total");
+          it = running_.erase(it);
+          changed = true;
+        } else {
+          ++it;
+        }
+      }
+      changed = admitLocked() || changed;
+      runningGauge.set(static_cast<double>(running_.size()));
+    }
     depthGauge.set(queue_.activeCount());
     backlogGauge.set(scheduler_->backlog());
+    // Wakes the streams waiting on these jobs, and runs one more pass,
+    // which retires a job admitted onto an already complete run (a
+    // dedup or result-cache hit finishes no task, so nothing else would).
+    if (changed) notifyEvent();
 
-    std::lock_guard<std::mutex> lock(runningMutex_);
-    // Retire finished runs.
-    for (auto it = running_.begin(); it != running_.end();) {
-      const std::string& id = it->first;
-      RunningJob& info = it->second;
-      if (info.run->failed()) {
-        queue_.setState(id, JobState::Failed, info.run->error());
-        scheduler_->detach(id, info.run);
-        count("hayat_serve_jobs_failed_total");
-        it = running_.erase(it);
-      } else if (info.run->complete()) {
-        queue_.setState(id, JobState::Completed);
-        const double seconds =
-            std::chrono::duration<double>(steady_clock::now() -
-                                          info.started)
-                .count();
-        jobLatencyHistogram().observe(seconds);
-        scheduler_->detach(id, info.run);
-        count("hayat_serve_jobs_completed_total");
-        it = running_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    admitLocked();
-    runningGauge.set(static_cast<double>(running_.size()));
+    std::unique_lock<std::mutex> lock(eventMutex_);
+    eventCv_.wait(lock, [&] { return events_ != seen || stopping_.load(); });
+    seen = events_;
   }
 }
 
-void ServeServer::admitLocked() {
-  if (static_cast<int>(running_.size()) >= config_.maxRunningJobs) return;
+bool ServeServer::admitLocked() {
+  if (static_cast<int>(running_.size()) >= config_.maxRunningJobs)
+    return false;
+  bool changed = false;
   for (const JobRecord& job : queue_.queuedJobs()) {
     if (static_cast<int>(running_.size()) >= config_.maxRunningJobs) break;
     if (running_.find(job.id) != running_.end()) continue;
+    changed = true;
     engine::ExperimentSpec spec;
     try {
       spec = engine::decodeSpec(job.specText);
@@ -239,6 +274,7 @@ void ServeServer::admitLocked() {
     running_.emplace(job.id, std::move(info));
     count("hayat_serve_jobs_started_total");
   }
+  return changed;
 }
 
 bool ServeServer::authorized(const HttpRequest& req) const {
@@ -371,6 +407,7 @@ void ServeServer::route(const HttpRequest& req, int fd) {
       if (!prio.empty()) job.priority = std::atoi(prio.c_str());
       switch (queue_.submit(job)) {
         case JobQueue::Admission::Accepted:
+          notifyEvent();
           writeAll(fd, httpResponse(201, "text/plain",
                                     jobStatusBody(job, 0)));
           return;
@@ -446,25 +483,29 @@ void ServeServer::route(const HttpRequest& req, int fd) {
     return;
   }
   if (req.method == "DELETE") {
-    std::lock_guard<std::mutex> lock(runningMutex_);
-    const auto fresh = queue_.get(id);
-    if (!fresh) {
-      writeAll(fd, httpResponse(404, "text/plain", "no such job\n"));
-      return;
+    std::optional<JobRecord> fresh;
+    {
+      std::lock_guard<std::mutex> lock(runningMutex_);
+      fresh = queue_.get(id);
+      if (!fresh) {
+        writeAll(fd, httpResponse(404, "text/plain", "no such job\n"));
+        return;
+      }
+      if (fresh->state != JobState::Queued &&
+          fresh->state != JobState::Running) {
+        writeAll(fd, httpResponse(409, "text/plain",
+                                  std::string("job already ") +
+                                      jobStateName(fresh->state) + "\n"));
+        return;
+      }
+      queue_.setState(id, JobState::Cancelled);
+      const auto it = running_.find(id);
+      if (it != running_.end()) {
+        scheduler_->detach(id, it->second.run);
+        running_.erase(it);
+      }
     }
-    if (fresh->state != JobState::Queued &&
-        fresh->state != JobState::Running) {
-      writeAll(fd, httpResponse(409, "text/plain",
-                                std::string("job already ") +
-                                    jobStateName(fresh->state) + "\n"));
-      return;
-    }
-    queue_.setState(id, JobState::Cancelled);
-    const auto it = running_.find(id);
-    if (it != running_.end()) {
-      scheduler_->detach(id, it->second.run);
-      running_.erase(it);
-    }
+    notifyEvent();  // frees a pump slot and ends queued-phase streams
     count("hayat_serve_jobs_cancelled_total");
     JobRecord cancelled = *fresh;
     cancelled.state = JobState::Cancelled;
@@ -476,21 +517,28 @@ void ServeServer::route(const HttpRequest& req, int fd) {
 }
 
 void ServeServer::streamResults(const std::string& id, int fd) {
-  // Wait out the queued phase; the pump owns admission order.
+  // Wait out the queued phase; the pump owns admission order and every
+  // state change notifies eventCv_.  stop() waits for queuedStreams_ to
+  // drain, so a stream still queued at shutdown answers 503 cleanly.
   std::optional<JobRecord> job;
-  for (;;) {
-    job = queue_.get(id);
-    if (!job) {
-      writeAll(fd, httpResponse(404, "text/plain", "no such job\n"));
-      return;
-    }
-    if (job->state != JobState::Queued) break;
-    if (stopping_.load()) {
-      writeAll(fd, httpResponse(503, "text/plain", "shutting down\n"));
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::unique_lock<std::mutex> lock(eventMutex_);
+    ++queuedStreams_;
+    eventCv_.wait(lock, [&] {
+      job = queue_.get(id);
+      return !job || job->state != JobState::Queued || stopping_.load();
+    });
   }
+  if (!job)
+    writeAll(fd, httpResponse(404, "text/plain", "no such job\n"));
+  else if (job->state == JobState::Queued)
+    writeAll(fd, httpResponse(503, "text/plain", "shutting down\n"));
+  {
+    std::lock_guard<std::mutex> lock(eventMutex_);
+    --queuedStreams_;
+  }
+  eventCv_.notify_all();
+  if (!job || job->state == JobState::Queued) return;
   if (job->state == JobState::Failed) {
     writeAll(fd, httpResponse(500, "text/plain", job->error + "\n"));
     return;

@@ -17,10 +17,12 @@
 //
 // Jobs are journaled by the durable JobQueue before they are
 // acknowledged, admitted by a background pump that bounds concurrently
-// running jobs, and executed by the shared SweepScheduler — so two
-// clients submitting the same spec share one computation and one result
-// cache, and a SIGKILLed daemon replays its queue directory on restart
-// and converges to byte-identical results.
+// running jobs (it sleeps until an event — a submit, cancel, drain,
+// stop, or a run finishing — and never polls), and executed by the
+// shared SweepScheduler — so two clients submitting the same spec share
+// one computation and one result cache, and a SIGKILLed daemon replays
+// its queue directory on restart and converges to byte-identical
+// results.
 //
 // The results stream is the canonical writeRunResult records of tasks
 // 0..n-1 in order: its concatenation is byte-identical to a one-shot
@@ -31,6 +33,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -101,7 +104,10 @@ class ServeServer {
 
   void acceptLoop();
   void pumpLoop();
-  void admitLocked();
+  /// Attaches queued jobs up to maxRunningJobs; true when any job
+  /// changed state.  Caller holds runningMutex_.
+  bool admitLocked();
+  void notifyEvent();
   void handleConnection(int fd);
   void route(const HttpRequest& req, int fd);
   void streamResults(const std::string& id, int fd);
@@ -110,6 +116,15 @@ class ServeServer {
 
   ServeConfig config_;
   JobQueue queue_;
+
+  // The pump and queued-phase streams wait on eventCv_.  notifyEvent()
+  // bumps events_ after every job state change, run completion, drain
+  // and stop.  Declared before scheduler_, whose lanes call notifyEvent.
+  std::mutex eventMutex_;
+  std::condition_variable eventCv_;
+  std::uint64_t events_ = 0;   ///< guarded by eventMutex_
+  int queuedStreams_ = 0;      ///< streams in the queued phase; ditto
+
   std::unique_ptr<SweepScheduler> scheduler_;
 
   int listenFd_ = -1;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
@@ -211,11 +212,37 @@ class AgingTableFixture : public ::testing::Test {
 };
 
 TEST_F(AgingTableFixture, MatchesDirectEvaluationAtGridPoints) {
-  const AgingTable table(nbti_, paths_);
-  // Grid nodes are exact by construction (duty 0.25 = (0.5)^2 lies on the
+  // The table's one-pass fill (CorePathSet::delayFactorGrid) must equal
+  // the per-node reference bit for bit at every grid node — for the
+  // fixture's 4x16 paths and for the default 6x24 netlists of 3 seeds.
+  std::vector<CorePathSet> pathSets = {paths_};
+  for (const std::uint64_t seed : {1u, 2015u, 424242u}) {
+    Rng rng(seed);
+    pathSets.push_back(CorePathSet::synthesize(rng, 6, 24));
+  }
+  for (std::size_t s = 0; s < pathSets.size(); ++s) {
+    const CorePathSet& paths = pathSets[s];
+    const AgingTable table(nbti_, paths);
+    const Table3& raw = table.raw();
+    int mismatches = 0;
+    for (int i = 0; i < raw.axis0().size(); ++i)
+      for (int j = 0; j < raw.axis1().size(); ++j)
+        for (int k = 0; k < raw.axis2().size(); ++k) {
+          const double direct = paths.delayFactor(
+              nbti_, raw.axis0()[i], raw.axis1()[j], raw.axis2()[k]);
+          if (raw.at(i, j, k) == direct) continue;
+          if (++mismatches <= 3)
+            ADD_FAILURE() << "path set " << s << " node (" << i << ", " << j
+                          << ", " << k << "): table " << raw.at(i, j, k)
+                          << " vs direct " << direct;
+        }
+    EXPECT_EQ(mismatches, 0) << "path set " << s;
+  }
+  // Lookups at a node return the node (duty 0.25 = (0.5)^2 lies on the
   // quadratic duty axis; 300 K and 10 years are axis points too).
-  EXPECT_NEAR(table.delayFactor(300.0, 0.25, 10.0),
-              paths_.delayFactor(nbti_, 300.0, 0.25, 10.0), 1e-12);
+  const AgingTable table(nbti_, paths_);
+  EXPECT_EQ(table.delayFactor(300.0, 0.25, 10.0),
+            paths_.delayFactor(nbti_, 300.0, 0.25, 10.0));
 }
 
 TEST_F(AgingTableFixture, InterpolationErrorSmall) {

@@ -2,11 +2,20 @@
 // Chip aggregate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "arch/chip.hpp"
 #include "arch/dark_core_map.hpp"
 #include "arch/dvfs.hpp"
 #include "arch/sensors.hpp"
 #include "common/error.hpp"
+#include "core/system.hpp"
+#include "telemetry/metrics.hpp"
 #include "variation/population.hpp"
 
 namespace hayat {
@@ -202,16 +211,46 @@ INSTANTIATE_TEST_SUITE_P(LadderSizes, LadderSweep,
 
 class ChipFixture : public ::testing::Test {
  protected:
-  static Chip makeChip(std::uint64_t seed = 2015) {
+  static Chip makeChip(std::uint64_t seed = 2015,
+                       Years maxAge = AgingTableConfig{}.maxAge) {
     PopulationConfig pc;
     pc.coreGrid = GridShape(4, 4);
     ChipConfig cc;
     cc.floorplan = FloorPlan(pc.coreGrid, pc.coreWidth, pc.coreHeight);
     cc.pathsPerCore = 3;
     cc.elementsPerPath = 12;
+    cc.agingTable.maxAge = maxAge;
     return Chip(cc, generateChip(pc, seed), seed);
   }
 };
+
+/// Turns telemetry on for one test, so the shared-cache counters count.
+class ScopedTelemetry {
+ public:
+  ScopedTelemetry() { telemetry::setEnabled(true); }
+  ~ScopedTelemetry() { telemetry::setEnabled(false); }
+  ScopedTelemetry(const ScopedTelemetry&) = delete;
+  ScopedTelemetry& operator=(const ScopedTelemetry&) = delete;
+};
+
+std::uint64_t counterValue(const char* name) {
+  return telemetry::Registry::global().counter(name).value();
+}
+
+bool sameTableBits(const Table3& a, const Table3& b) {
+  if (a.axis0().points() != b.axis0().points() ||
+      a.axis1().points() != b.axis1().points() ||
+      a.axis2().points() != b.axis2().points())
+    return false;
+  for (int i = 0; i < a.axis0().size(); ++i)
+    for (int j = 0; j < a.axis1().size(); ++j)
+      for (int k = 0; k < a.axis2().size(); ++k) {
+        const double x = a.at(i, j, k);
+        const double y = b.at(i, j, k);
+        if (std::memcmp(&x, &y, sizeof x) != 0) return false;
+      }
+  return true;
+}
 
 TEST_F(ChipFixture, GeometryAndCounts) {
   const Chip chip = makeChip();
@@ -307,6 +346,114 @@ TEST_F(ChipFixture, ScalarAgingModeBypassesTheSharedTable) {
   const Chip cached = makeChip(5);
   EXPECT_EQ(a.agingTable().delayFactor(350, 0.5, 5.0),
             cached.agingTable().delayFactor(350, 0.5, 5.0));
+  Chip::clearSharedAgingTableCacheForTest();
+}
+
+TEST(SharedAgingTableTest, ConcurrentSystemCreatesBuildEachTableOnce) {
+  // 8 threads create systems over 4 distinct seeds at once.  Each table
+  // is built once, outside the cache lock (the second caller of a seed
+  // waits for the first's build or hits its result), and every table is
+  // bitwise equal to a serial build.
+  SystemConfig config;
+  config.population.coreGrid = GridShape(4, 4);
+  const std::uint64_t seeds[] = {11, 12, 13, 14};
+
+  Chip::clearSharedAgingTableCacheForTest();
+  std::vector<System> serial;
+  for (const std::uint64_t seed : seeds)
+    serial.push_back(System::create(config, seed));
+  Chip::clearSharedAgingTableCacheForTest();
+
+  const ScopedTelemetry on;
+  const auto missesBefore =
+      counterValue("hayat_aging_table_shared_misses_total");
+  const auto servedBefore =
+      counterValue("hayat_aging_table_shared_hits_total") +
+      counterValue("hayat_aging_table_shared_waits_total");
+  constexpr int kThreads = 8;
+  std::vector<std::optional<System>> built(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      built[static_cast<std::size_t>(t)].emplace(
+          System::create(config, seeds[t % 4]));
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(counterValue("hayat_aging_table_shared_misses_total") -
+                missesBefore,
+            4u);
+  EXPECT_EQ(counterValue("hayat_aging_table_shared_hits_total") +
+                counterValue("hayat_aging_table_shared_waits_total") -
+                servedBefore,
+            4u);
+  for (int t = 0; t < kThreads; ++t) {
+    const AgingTable& table =
+        built[static_cast<std::size_t>(t)]->chip().agingTable();
+    EXPECT_TRUE(sameTableBits(
+        table.raw(), serial[static_cast<std::size_t>(t % 4)]
+                         .chip()
+                         .agingTable()
+                         .raw()))
+        << "thread " << t;
+    // Same seed, same shared table object.
+    EXPECT_EQ(&table,
+              &built[static_cast<std::size_t>(t + 4) % kThreads]
+                   ->chip()
+                   .agingTable());
+  }
+  Chip::clearSharedAgingTableCacheForTest();
+}
+
+TEST_F(ChipFixture, FailedSharedTableBuildFailsEveryWaiterAndIsRetried) {
+  // A 25,000-year age axis drives Eq. (7)'s shift past the gate overdrive
+  // (Vdd - Vth0), so the fill throws — in the hottest rows, late in the
+  // build, so concurrent callers of the recipe overlap it.  Every caller
+  // must get the builder's exception, and the failed build must not stay
+  // published: the next call builds (and fails) again.
+  Chip::clearSharedAgingTableCacheForTest();
+  const ScopedTelemetry on;
+  constexpr Years kExhaustingMaxAge = 25000.0;
+  const auto attempt = [] {
+    try {
+      makeChip(5, kExhaustingMaxAge);
+      return std::string("built");
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+  };
+
+  const auto missesBefore =
+      counterValue("hayat_aging_table_shared_misses_total");
+  const auto waitsBefore =
+      counterValue("hayat_aging_table_shared_waits_total");
+  const auto hitsBefore = counterValue("hayat_aging_table_shared_hits_total");
+  constexpr int kThreads = 8;
+  std::vector<std::string> outcomes(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back(
+        [&, t] { outcomes[static_cast<std::size_t>(t)] = attempt(); });
+  for (std::thread& thread : threads) thread.join();
+
+  for (const std::string& outcome : outcomes) {
+    EXPECT_NE(outcome.find("exhausts the gate overdrive"), std::string::npos)
+        << outcome;
+    EXPECT_EQ(outcome, outcomes[0]);
+  }
+  const auto misses =
+      counterValue("hayat_aging_table_shared_misses_total") - missesBefore;
+  const auto waits =
+      counterValue("hayat_aging_table_shared_waits_total") - waitsBefore;
+  EXPECT_GE(misses, 1u);
+  EXPECT_EQ(misses + waits, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(counterValue("hayat_aging_table_shared_hits_total"), hitsBefore);
+
+  // A later call retries rather than replaying the cached failure.
+  EXPECT_NE(attempt().find("exhausts the gate overdrive"), std::string::npos);
+  EXPECT_EQ(counterValue("hayat_aging_table_shared_misses_total") -
+                missesBefore,
+            misses + 1);
   Chip::clearSharedAgingTableCacheForTest();
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -313,6 +314,40 @@ TEST(DispatchDeterminismTest, ExecWorkersRunTheRealBinary) {
   const SweepTable serial = serialReference(spec);
   const SweepTable dispatched = runDispatched(spec, "exec:2");
   EXPECT_EQ(tableBytes(serial), tableBytes(dispatched));
+}
+
+TEST(SpawnWorkerTest, WorkersKeepNoInheritedDescriptors) {
+  // A spawned worker holds only stdio and its own socket.  Any other fd
+  // it kept (a sibling's socket, or a serve daemon's listening and client
+  // sockets) would stay open after its owner closed it.  The parent
+  // closes its write end of a pipe; the read end reaches EOF only once
+  // the worker has dropped the copy it inherited.
+  const auto expectDropsInherited = [](const auto& spawn) {
+    int pipeFds[2];
+    ASSERT_EQ(::pipe(pipeFds), 0);
+    int fd = -1;
+    const pid_t pid = spawn(fd);
+    ASSERT_GT(pid, 0);
+    ::close(pipeFds[1]);
+    struct pollfd pfd = {pipeFds[0], POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, 30000);
+    EXPECT_EQ(ready, 1) << "the worker kept the pipe open";
+    char byte = 0;
+    if (ready == 1) {
+      EXPECT_EQ(::read(pipeFds[0], &byte, 1), 0);
+    }
+    ::close(pipeFds[0]);
+    ::close(fd);  // EOF on its socket ends the worker loop
+    ::waitpid(pid, nullptr, 0);
+  };
+  expectDropsInherited([](int& fd) { return spawnForkWorker(fd); });
+
+  const std::filesystem::path binary =
+      std::filesystem::absolute("../tools/hayat");
+  if (!std::filesystem::exists(binary))
+    GTEST_SKIP() << "hayat CLI binary not found at " << binary;
+  expectDropsInherited(
+      [&binary](int& fd) { return spawnExecWorker(binary.string(), fd); });
 }
 
 // --------------------------------------------------------- fault handling

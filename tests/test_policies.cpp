@@ -9,6 +9,7 @@
 #include <initializer_list>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "baselines/simple_policies.hpp"
 #include "baselines/vaa.hpp"
@@ -108,6 +109,12 @@ struct PolicyCase {
   std::function<std::unique_ptr<MappingPolicy>()> make;
   double darkFraction;
 };
+
+// Print a case as its name.  The default printer dumps the object's bytes,
+// heap addresses included, and those bytes end up in the test listing and
+// in the test names CTest discovers from it, which then change from one
+// build to the next.
+void PrintTo(const PolicyCase& c, std::ostream* os) { *os << c.name; }
 
 class AllPolicies : public ::testing::TestWithParam<PolicyCase> {};
 

@@ -575,6 +575,56 @@ TEST(ServeServerTest, CancelQueuedJobAndStreamSeesTruncation) {
   server.stop();
 }
 
+TEST(ServeServerTest, QueuedStreamWakesOnCancelAndOnStop) {
+  // Streams blocked in the queued phase wait on the server's event
+  // condition with no timeout and no poll: DELETE must wake one into
+  // 410, and stop() must wake the other into 503.  A missed notify shows
+  // up as a hang here, never as a slow pass.
+  TempDir queueDir("srv_wake");
+  TempDir cacheDir("srv_wake_cache");
+  ServeConfig config = smallServerConfig(queueDir.path(), cacheDir.path());
+  config.maxRunningJobs = 0;  // nothing is admitted: jobs stay queued
+  ServeServer server(config);
+  ASSERT_TRUE(server.start());
+  const int port = server.port();
+
+  HttpClientResponse resp;
+  for (const char* name : {"srv-wake-1", "srv-wake-2"}) {
+    ASSERT_TRUE(httpRequest("127.0.0.1", port, "POST", "/jobs",
+                            engine::encodeSpec(testSpec(name)), {}, resp));
+    ASSERT_EQ(resp.status, 201);
+  }
+
+  const auto requestsBefore = counterValue("hayat_serve_http_requests_total");
+  constexpr int kNoTimeoutMs = 3600 * 1000;
+  HttpClientResponse cancelled, stopped;
+  std::atomic<bool> cancelledOk{false}, stoppedOk{false};
+  std::thread cancelledStream([&] {
+    cancelledOk = httpRequest("127.0.0.1", port, "GET", "/jobs/j1/results",
+                              "", {}, cancelled, kNoTimeoutMs);
+  });
+  std::thread stoppedStream([&] {
+    stoppedOk = httpRequest("127.0.0.1", port, "GET", "/jobs/j2/results",
+                            "", {}, stopped, kNoTimeoutMs);
+  });
+  // Both requests are routed; give them a moment to block on the wait.
+  while (counterValue("hayat_serve_http_requests_total") - requestsBefore < 2)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  EXPECT_TRUE(
+      httpRequest("127.0.0.1", port, "DELETE", "/jobs/j1", "", {}, resp));
+  EXPECT_EQ(resp.status, 200);
+  cancelledStream.join();
+  ASSERT_TRUE(cancelledOk.load());
+  EXPECT_EQ(cancelled.status, 410);
+
+  server.stop();
+  stoppedStream.join();
+  ASSERT_TRUE(stoppedOk.load());
+  EXPECT_EQ(stopped.status, 503);
+}
+
 TEST(ServeServerTest, AdmissionOverflowAnswers429) {
   TempDir queueDir("srv_429");
   TempDir cacheDir("srv_429_cache");
@@ -702,7 +752,13 @@ TEST(ServeServerTest, DrainRefusesNewJobsAndFinishesRunningOnes) {
 TEST(ServeServerTest, SigkillMidSweepRecoversToByteIdenticalResults) {
   TempDir queueDir("srv_kill");
   TempDir cacheDir("srv_kill_cache");
-  const ExperimentSpec spec = testSpec("srv-kill");
+  // Long enough (hundreds of milliseconds on one lane) that the job is
+  // still running when the 50 ms status poll below looks: the
+  // event-driven pump retires a job the moment its last task lands, and
+  // the small test spec computes in a few milliseconds.
+  ExperimentSpec spec = testSpec("srv-kill");
+  spec.system.population.coreGrid = {8, 8};
+  spec.lifetime.horizon = 10.0;
   const std::string expected = tableBytes(serialReference(spec));
 
   int portPipe[2];
