@@ -1,5 +1,6 @@
 #include "engine/engine.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -10,8 +11,9 @@
 
 #include "common/error.hpp"
 #include "engine/builtin_policies.hpp"
-#include "engine/dispatcher.hpp"
 #include "engine/result_cache.hpp"
+#include "engine/scheduler.hpp"
+#include "engine/worker_proc.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/series.hpp"
 #include "telemetry/span.hpp"
@@ -20,11 +22,6 @@
 namespace hayat::engine {
 
 namespace {
-
-bool cacheDisabledByEnv() {
-  return std::getenv("HAYAT_NO_CACHE") != nullptr ||
-         std::getenv("HAYAT_NO_SWEEP_CACHE") != nullptr;
-}
 
 /// Feeds every epoch of every run into the telemetry epoch series.
 /// Recording from the merged table (rather than inside the simulator)
@@ -64,18 +61,16 @@ bool hasTcpEndpoint(const std::vector<WorkerEndpoint>& endpoints) {
   return false;
 }
 
-/// Pushes the on-disk cache entry for `spec` to every live TCP worker of
-/// an already-connected dispatcher (warm-cache push; fork/exec workers
-/// share the coordinator's filesystem and are skipped inside
-/// pushCacheEntry).  Best-effort: an unreadable file is a silent no-op.
-void pushCacheEntryToWorkers(Dispatcher& dispatcher, const std::string& dir,
+/// Sends the on-disk cache entry for `spec` to the scheduler's tcp:
+/// workers and stops it (warm-cache push).  Best-effort: an unreadable
+/// file is a silent no-op.
+void pushCacheEntryToWorkers(SweepScheduler& scheduler, const std::string& dir,
                              const ExperimentSpec& spec) {
   std::ifstream in(cachePath(dir, spec), std::ios::binary);
   if (!in) return;
   std::ostringstream bytes;
   bytes << in.rdbuf();
-  const int sent =
-      dispatcher.pushCacheEntry(spec.name, specHash(spec), bytes.str());
+  const int sent = scheduler.stopAndPushCacheEntry(spec, bytes.str());
   if (sent > 0)
     std::fprintf(stderr, "[engine] %s: pushed cache entry to %d worker%s\n",
                  spec.name.c_str(), sent, sent == 1 ? "" : "s");
@@ -130,14 +125,11 @@ int ExperimentEngine::workers() const {
 }
 
 bool ExperimentEngine::cacheEnabled() const {
-  return config_.cache && !cacheDisabledByEnv();
+  return config_.cache && cacheAllowedByEnv();
 }
 
 std::string ExperimentEngine::cacheDir() const {
-  if (!config_.cacheDir.empty()) return config_.cacheDir;
-  if (const char* env = std::getenv("HAYAT_CACHE_DIR"))
-    if (*env) return env;
-  return "hayat_cache";
+  return resolveCacheDir(config_.cacheDir);
 }
 
 std::string ExperimentEngine::dispatchSpec() const {
@@ -246,11 +238,17 @@ SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
     runs.add();
   }
 
-  // Endpoint syntax errors are loud, and deliberately precede the cache
-  // check — a typo'd topology must not be masked by a cache hit.
-  const std::string dispatch = dispatchSpec();
-  std::vector<WorkerEndpoint> endpoints;
-  if (!dispatch.empty()) endpoints = parseWorkerSpec(dispatch);
+  // The run is one job on a private lane scheduler.  Endpoint syntax
+  // errors are loud, and deliberately precede the cache check — a typo'd
+  // topology must not be masked by a cache hit.  A fixed mix has no wire
+  // form, so such specs run on local lanes.
+  SchedulerConfig lanes;
+  lanes.dispatch = dispatchSpec();
+  const bool tcpWorkers =
+      !lanes.dispatch.empty() && hasTcpEndpoint(parseWorkerSpec(lanes.dispatch));
+  if (spec.lifetime.fixedMix.has_value()) lanes.dispatch.clear();
+  lanes.localWorkers = std::min(workers(), std::max(1, spec.taskCount()));
+  lanes.cache = false;  // read and written here, with eviction and logging
 
   // A fixed mix is not canonically hashed (experiment.cpp), so such specs
   // always recompute.
@@ -260,64 +258,34 @@ SweepTable ExperimentEngine::run(const ExperimentSpec& spec) const {
       std::fprintf(stderr, "[engine] %s: loaded %zu runs from %s\n",
                    spec.name.c_str(), cached->runs.size(),
                    cachePath(cacheDir(), spec).c_str());
-      if (hasTcpEndpoint(endpoints)) {
+      if (tcpWorkers) {
         // Warm-cache push: the local hit costs the remote fleet nothing,
         // so spend a connection warming every TCP worker's cache — the
         // entry this coordinator would otherwise recompute for them.
-        DispatchConfig dc;
-        dc.endpoints = endpoints;
-        Dispatcher dispatcher(dc);
-        if (dispatcher.connect(spec) > 0)
-          pushCacheEntryToWorkers(dispatcher, cacheDir(), spec);
-        dispatcher.shutdown();
+        SweepScheduler pusher(lanes);
+        pushCacheEntryToWorkers(pusher, cacheDir(), spec);
       }
       if (telemetry::enabled()) recordSweepSeries(*cached);
       return *std::move(cached);
     }
   }
 
-  const std::vector<RunTask> tasks = expand(spec);
+  SweepScheduler scheduler(lanes);
+  const std::shared_ptr<SpecRun> run = scheduler.attach(spec, 0, "engine");
   if (telemetry::enabled()) {
     static telemetry::Counter& expanded =
         telemetry::Registry::global().counter("hayat_engine_tasks_total");
-    expanded.add(tasks.size());
+    expanded.add(static_cast<std::uint64_t>(run->taskCount()));
   }
-  SweepTable table;
-
-  bool dispatched = false;
-  std::unique_ptr<Dispatcher> dispatcher;
-  if (!endpoints.empty() && !spec.lifetime.fixedMix.has_value()) {
-    // An unreachable fleet degrades to the in-process pool below.
-    DispatchConfig dc;
-    dc.endpoints = endpoints;
-    dc.localFallbackWorkers = workers();
-    dispatcher = std::make_unique<Dispatcher>(dc);
-    if (dispatcher->connect(spec) > 0) {
-      table.runs = dispatcher->run(spec, tasks);
-      dispatched = true;
-    } else {
-      std::fprintf(stderr,
-                   "[engine] %s: no workers reachable for '%s'; falling "
-                   "back to in-process threads\n",
-                   spec.name.c_str(), dispatch.c_str());
-      dispatcher.reset();
-    }
-  }
-  if (!dispatched) {
-    dispatcher.reset();
-    table.runs = parallelMap<RunResult>(
-        static_cast<int>(tasks.size()), workers(), [&](int i) {
-          return runTask(tasks[static_cast<std::size_t>(i)],
-                         spec.populationSeed);
-        });
-  }
+  if (!run->wait()) throw Error(run->error());
+  SweepTable table = run->table();
 
   if (cacheable) {
     storeCachedTable(cacheDir(), spec, table);
     // The workers that just computed the table get its cache entry back,
     // so a coordinator restart against the same fleet starts warm even
     // if this host's cache directory is lost.
-    if (dispatcher) pushCacheEntryToWorkers(*dispatcher, cacheDir(), spec);
+    if (tcpWorkers) pushCacheEntryToWorkers(scheduler, cacheDir(), spec);
     const std::uint64_t maxBytes = cacheMaxBytes();
     const double maxAge = cacheMaxAgeSeconds();
     if (maxBytes > 0 || maxAge >= 0.0) {

@@ -1,22 +1,22 @@
 // ExperimentEngine — parallel execution of ExperimentSpecs.
 //
 // The engine expands a spec into independent RunTasks (one per
-// chip x dark fraction x policy x repetition), executes them on a
-// std::thread worker pool with one System and one policy instance per
-// task (no shared mutable state), and merges the results by task index —
-// so the merged SweepTable is bit-identical to a serial run regardless of
-// worker count.  Results are cached on disk keyed by the spec hash
-// (experiment.hpp): re-running an unchanged spec loads the table without
-// a single EpochSimulator call.
+// chip x dark fraction x policy x repetition) and runs them as one job
+// on the lane scheduler (scheduler.hpp), with one System and one policy
+// instance per task (no shared mutable state).  Results merge by task
+// index, so the merged SweepTable is bit-identical to a serial run
+// regardless of worker count.  Results are cached on disk keyed by the
+// spec hash (experiment.hpp): re-running an unchanged spec loads the
+// table without a single EpochSimulator call.
 //
-// Execution is in-process by default; setting a dispatch spec (the
-// EngineConfig or HAYAT_DISPATCH) farms the tasks out to worker
+// The lanes are workers() in-process threads by default; setting a
+// dispatch spec (the EngineConfig or HAYAT_DISPATCH) makes them worker
 // *processes* instead — forked locally, exec'd hayat binaries, or remote
-// `hayat worker --listen` servers over TCP (dispatcher.hpp).  The merge
-// is by task index either way, so the table stays bit-identical to a
-// serial run for any topology, and the engine degrades back to the
-// thread pool when no workers are reachable.  The result cache is
-// consulted and written on the coordinator only; workers stay stateless.
+// `hayat worker --listen` servers over TCP — one lane per endpoint slot.
+// The table stays bit-identical to a serial run for any topology, and a
+// lane whose worker is gone runs its tasks on its own thread.  The result
+// cache is consulted and written on the coordinator only; workers stay
+// stateless.
 //
 // Environment knobs (all optional):
 //   HAYAT_WORKERS    — worker thread count (default: hardware concurrency)
@@ -87,12 +87,12 @@ struct SweepTable {
 
 /// Execution settings; zero values defer to the environment knobs above.
 struct EngineConfig {
-  int workers = 0;           ///< <= 0: HAYAT_WORKERS or hardware
+  int workers = 0;           ///< local lanes; <= 0: HAYAT_WORKERS or hardware
   bool cache = true;         ///< overridden off by HAYAT_NO_CACHE
   std::string cacheDir;      ///< "": HAYAT_CACHE_DIR or "hayat_cache"
   /// Distributed dispatch spec ("proc:N", "exec:N", "tcp:host:port",
   /// comma-separated).  "": HAYAT_DISPATCH, and failing that in-process
-  /// threads.  Fixed-mix specs always run in-process (they have no
+  /// lanes.  Fixed-mix specs always run on in-process lanes (they have no
   /// canonical wire serialization).
   std::string dispatch;
   /// Cache size bound: after each store, oldest entries are evicted
@@ -112,7 +112,8 @@ class ExperimentEngine {
   /// chips x darkFractions x policies x repetitions.
   std::vector<RunTask> expand(const ExperimentSpec& spec) const;
 
-  /// Runs (or loads from cache) the whole spec.
+  /// Runs (or loads from cache) the whole spec.  A task that fails even
+  /// in-process fails the run: hayat::Error with the task's message.
   SweepTable run(const ExperimentSpec& spec) const;
 
   /// Executes one expanded task (builds the System, instantiates the

@@ -1,8 +1,8 @@
 // Deterministic fault injection for the dispatch wire layer.
 //
-// Recovery paths (steal, re-steal, duplicate completion, corrupt push,
-// mid-steal worker death) must be exercised by name in tests, not by
-// racing real processes and hoping a crash lands in the right window.
+// Recovery paths (timeout, worker death, respawn, corrupt push) must be
+// exercised by name in tests, not by racing real processes and hoping a
+// crash lands in the right window.
 // HAYAT_FAULT_PLAN describes a schedule of faults in a tiny grammar:
 //
 //   drop:frame=N        coordinator: swallow its N-th outbound frame
@@ -15,7 +15,7 @@
 // ordinals are 1-based and count every frame the coordinator writes
 // after the plan is installed (Spec frames included), so a plan plus a
 // fixed topology names one exact frame.  Worker rules key on the slot
-// index the dispatcher assigns at spawn time (exported to the child as
+// index the lane scheduler assigns at spawn time (exported to the child as
 // HAYAT_FAULT_WORKER), so "worker 2" means the same process on every
 // run.
 //
@@ -38,7 +38,7 @@ struct FaultRule {
   enum class Kind { Drop, Corrupt, Delay, Die, Stall };
   Kind kind = Kind::Drop;
   long frame = 0;   ///< Drop/Corrupt: 1-based outbound frame ordinal
-  int worker = -1;  ///< Delay/Die/Stall: dispatcher slot index
+  int worker = -1;  ///< Delay/Die/Stall: lane slot index
   long ms = 0;      ///< Delay: sleep duration
   long after = 0;   ///< Die/Stall: Results served before the fault fires
 };
@@ -69,7 +69,7 @@ inline bool faultsInstalled() {
 void installCoordinatorFaults(const FaultPlan& plan);
 
 /// Removes any installed plan (forked workers call this so inherited
-/// coordinator state never fires twice; dispatcher teardown calls it so
+/// coordinator state never fires twice; scheduler teardown calls it so
 /// one test's plan cannot leak into the next).
 void clearCoordinatorFaults();
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -192,6 +193,18 @@ std::string cacheEntryPath(const std::string& dir, const std::string& name,
   }
   if (safeName.empty()) safeName = "experiment";
   return dir + "/" + safeName + "-" + hashHex + ".csv";
+}
+
+bool cacheAllowedByEnv() {
+  return std::getenv("HAYAT_NO_CACHE") == nullptr &&
+         std::getenv("HAYAT_NO_SWEEP_CACHE") == nullptr;
+}
+
+std::string resolveCacheDir(const std::string& configured) {
+  if (!configured.empty()) return configured;
+  if (const char* env = std::getenv("HAYAT_CACHE_DIR"))
+    if (*env) return env;
+  return "hayat_cache";
 }
 
 std::string cachePath(const std::string& dir, const ExperimentSpec& spec) {

@@ -42,6 +42,14 @@ void writeRunResult(std::ostream& out, const RunResult& result);
 /// malformed input (and may leave `result` partially filled).
 bool readRunResult(std::istream& in, RunResult& result);
 
+/// False when HAYAT_NO_CACHE (or its legacy alias HAYAT_NO_SWEEP_CACHE)
+/// is set: no process on this host reads or writes the cache.
+bool cacheAllowedByEnv();
+
+/// The cache directory: `configured` when non-empty, else
+/// HAYAT_CACHE_DIR, else "hayat_cache" in the working directory.
+std::string resolveCacheDir(const std::string& configured = "");
+
 /// Cache file path for a spec inside `dir`.
 std::string cachePath(const std::string& dir, const ExperimentSpec& spec);
 

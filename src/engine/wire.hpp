@@ -1,7 +1,7 @@
 // Coordinator <-> worker wire protocol.
 //
 // Distributed sweeps ship three kinds of payloads between the
-// coordinator (dispatcher.hpp) and worker processes (worker_proc.hpp):
+// coordinator (scheduler.hpp) and worker processes (worker_proc.hpp):
 // the ExperimentSpec (once per connection), task assignments (just the
 // task index — workers re-expand the spec deterministically, so the spec
 // hash is the complete work-partitioning key), and RunResults.  Every

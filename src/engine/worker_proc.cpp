@@ -18,6 +18,7 @@
 #include <string>
 #include <thread>
 
+#include "common/error.hpp"
 #include "engine/builtin_policies.hpp"
 #include "engine/engine.hpp"
 #include "engine/fault.hpp"
@@ -34,29 +35,6 @@ namespace {
 long envLong(const char* name, long fallback) {
   const char* value = std::getenv(name);
   return (value && *value) ? std::atol(value) : fallback;
-}
-
-/// Worker writes race coordinator deaths; losing that race must be an
-/// EPIPE error, not a fatal SIGPIPE.
-void ignoreSigpipe() {
-  struct sigaction sa;
-  if (::sigaction(SIGPIPE, nullptr, &sa) == 0 && sa.sa_handler == SIG_DFL) {
-    sa.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &sa, nullptr);
-  }
-}
-
-/// Cache directory this worker stores pushed entries into — the same
-/// resolution the coordinator-side engine uses.
-std::string workerCacheDir() {
-  if (const char* env = std::getenv("HAYAT_CACHE_DIR"))
-    if (*env) return env;
-  return "hayat_cache";
-}
-
-bool workerCacheDisabled() {
-  return std::getenv("HAYAT_NO_CACHE") != nullptr ||
-         std::getenv("HAYAT_NO_SWEEP_CACHE") != nullptr;
 }
 
 void countWorker(const char* name) {
@@ -78,11 +56,12 @@ void handleCachePush(const std::string& payload) {
     countWorker("hayat_worker_cache_push_rejected_total");
     return;
   }
-  if (workerCacheDisabled()) {
+  // Pushed entries land where this host's own engine would look.
+  if (!cacheAllowedByEnv()) {
     countWorker("hayat_worker_cache_push_rejected_total");
     return;
   }
-  if (storePushedCacheEntry(workerCacheDir(), name, hash, fileBytes)) {
+  if (storePushedCacheEntry(resolveCacheDir(), name, hash, fileBytes)) {
     countWorker("hayat_worker_cache_push_stored_total");
   } else {
     countWorker("hayat_worker_cache_push_rejected_total");
@@ -143,7 +122,72 @@ bool looksLikeHttp(const char* peek, std::size_t n) {
   return false;
 }
 
+int parsePositiveInt(const std::string& text, const char* what) {
+  char* end = nullptr;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  HAYAT_REQUIRE(end == text.c_str() + text.size() && !text.empty() &&
+                    value >= 1,
+                std::string("worker spec: bad ") + what + " '" + text + "'");
+  return static_cast<int>(value);
+}
+
 }  // namespace
+
+std::vector<WorkerEndpoint> parseWorkerSpec(const std::string& text) {
+  std::vector<WorkerEndpoint> endpoints;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t comma = text.find(',', start);
+    const std::string item =
+        text.substr(start, comma == std::string::npos ? std::string::npos
+                                                      : comma - start);
+    start = comma == std::string::npos ? text.size() + 1 : comma + 1;
+    if (item.empty()) continue;
+
+    WorkerEndpoint ep;
+    if (item == "proc" || item.rfind("proc:", 0) == 0) {
+      ep.kind = WorkerEndpoint::Kind::Fork;
+      ep.count =
+          item == "proc" ? 1 : parsePositiveInt(item.substr(5), "count");
+    } else if (item == "exec" || item.rfind("exec:", 0) == 0) {
+      ep.kind = WorkerEndpoint::Kind::Exec;
+      ep.count =
+          item == "exec" ? 1 : parsePositiveInt(item.substr(5), "count");
+    } else if (item.rfind("tcp:", 0) == 0) {
+      ep.kind = WorkerEndpoint::Kind::Tcp;
+      const std::string rest = item.substr(4);
+      const std::size_t colon = rest.rfind(':');
+      HAYAT_REQUIRE(colon != std::string::npos && colon > 0,
+                    "worker spec: tcp endpoint needs host:port, got '" +
+                        item + "'");
+      ep.host = rest.substr(0, colon);
+      ep.port = parsePositiveInt(rest.substr(colon + 1), "port");
+      HAYAT_REQUIRE(ep.port <= 65535,
+                    "worker spec: port out of range in '" + item + "'");
+    } else {
+      throw Error("worker spec: unknown endpoint '" + item +
+                  "' (expected proc:N, exec:N, or tcp:host:port)");
+    }
+    endpoints.push_back(std::move(ep));
+  }
+  HAYAT_REQUIRE(!endpoints.empty(), "worker spec: no endpoints in '" + text +
+                                        "'");
+  return endpoints;
+}
+
+void ignoreSigpipe() {
+  struct sigaction sa;
+  if (::sigaction(SIGPIPE, nullptr, &sa) == 0 && sa.sa_handler == SIG_DFL) {
+    sa.sa_handler = SIG_IGN;
+    ::sigaction(SIGPIPE, &sa, nullptr);
+  }
+}
+
+std::string workerBinary() {
+  if (const char* bin = std::getenv("HAYAT_WORKER_BIN"))
+    if (*bin) return bin;
+  return "hayat";
+}
 
 std::string workerHttpResponse(int status, const std::string& body) {
   std::ostringstream out;

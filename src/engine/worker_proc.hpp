@@ -35,8 +35,36 @@
 #include <sys/types.h>
 
 #include <string>
+#include <vector>
 
 namespace hayat::engine {
+
+/// One entry of a `--workers=` / HAYAT_DISPATCH list.
+struct WorkerEndpoint {
+  enum class Kind {
+    Fork,  ///< proc:N — fork this process, child serves tasks in-image
+    Exec,  ///< exec:N — fork/exec `hayat worker --stdio` (HAYAT_WORKER_BIN)
+    Tcp,   ///< tcp:host:port — dial a `hayat worker --listen` server
+  };
+  Kind kind = Kind::Fork;
+  int count = 1;       ///< Fork/Exec: processes to spawn
+  std::string host;    ///< Tcp
+  int port = 0;        ///< Tcp
+};
+
+/// Parses a comma-separated endpoint list: "proc:4", "exec:2",
+/// "tcp:host:port", "proc:2,tcp:10.0.0.5:7707".  Throws hayat::Error on
+/// malformed input.
+std::vector<WorkerEndpoint> parseWorkerSpec(const std::string& text);
+
+/// The binary exec'd for `exec:N` workers: HAYAT_WORKER_BIN, else "hayat"
+/// from PATH.
+std::string workerBinary();
+
+/// Worker and coordinator writes race the peer's death; losing that race
+/// must be an EPIPE error, not a fatal SIGPIPE.  Leaves a handler the
+/// program installed itself alone.
+void ignoreSigpipe();
 
 /// Serves one coordinator connection: reads the Spec, then loops over
 /// Task messages until Shutdown or EOF.  Returns a process exit code.

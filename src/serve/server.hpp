@@ -19,10 +19,10 @@
 // acknowledged, admitted by a background pump that bounds concurrently
 // running jobs (it sleeps until an event — a submit, cancel, drain,
 // stop, or a run finishing — and never polls), and executed by the
-// shared SweepScheduler — so two clients submitting the same spec share
-// one computation and one result cache, and a SIGKILLed daemon replays
-// its queue directory on restart and converges to byte-identical
-// results.
+// shared lane scheduler (engine/scheduler.hpp) — so two clients
+// submitting the same spec share one computation and one result cache,
+// and a SIGKILLed daemon replays its queue directory on restart and
+// converges to byte-identical results.
 //
 // The results stream is the canonical writeRunResult records of tasks
 // 0..n-1 in order: its concatenation is byte-identical to a one-shot
@@ -42,9 +42,9 @@
 #include <string>
 #include <thread>
 
+#include "engine/scheduler.hpp"
 #include "serve/http.hpp"
 #include "serve/job_queue.hpp"
-#include "serve/scheduler.hpp"
 
 namespace hayat::serve {
 
@@ -58,7 +58,6 @@ struct ServeConfig {
   int maxRunningJobs = 4;       ///< jobs attached to the scheduler at once
   bool cache = true;
   std::string cacheDir;
-  double taskTimeoutSeconds = 300.0;
 };
 
 class ServeServer {
@@ -89,11 +88,11 @@ class ServeServer {
   void stop();
 
   JobQueue& queue() { return queue_; }
-  SweepScheduler& scheduler() { return *scheduler_; }
+  engine::SweepScheduler& scheduler() { return *scheduler_; }
 
  private:
   struct RunningJob {
-    std::shared_ptr<SpecRun> run;
+    std::shared_ptr<engine::SpecRun> run;
     std::chrono::steady_clock::time_point started;
   };
   struct Conn {
@@ -125,7 +124,7 @@ class ServeServer {
   std::uint64_t events_ = 0;   ///< guarded by eventMutex_
   int queuedStreams_ = 0;      ///< streams in the queued phase; ditto
 
-  std::unique_ptr<SweepScheduler> scheduler_;
+  std::unique_ptr<engine::SweepScheduler> scheduler_;
 
   int listenFd_ = -1;
   int port_ = 0;

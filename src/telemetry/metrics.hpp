@@ -1,7 +1,7 @@
 // Process-wide metrics registry: counters, gauges, histograms.
 //
 // The observability substrate for everything from EpochSimulator windows
-// to dispatcher wire RPCs.  Design constraints, in order:
+// to worker wire RPCs.  Design constraints, in order:
 //
 //   1. Disabled must be (almost) free.  Every instrumentation site guards
 //      on `telemetry::enabled()`, a relaxed load of one process-wide

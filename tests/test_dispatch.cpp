@@ -1,12 +1,11 @@
 // Distributed ExperimentEngine: wire protocol, endpoint parsing, and the
-// coordinator/worker fan-out.
+// lane scheduler's remote lanes.
 //
 // The contract under test is the strong one from engine.hpp: the merged
 // SweepTable is *bit-identical* to a serial in-process run for any worker
-// topology (forked processes, exec'd binaries, TCP workers), and the
-// dispatcher survives its fleet — worker crashes, wedged workers, and an
-// entirely unreachable fleet all degrade without changing a byte of the
-// result.
+// topology (forked processes, exec'd binaries, TCP workers), and the lanes
+// survive their fleet — worker crashes, wedged workers, and an entirely
+// unreachable fleet all degrade without changing a byte of the result.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -27,12 +26,13 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "engine/dispatcher.hpp"
 #include "engine/engine.hpp"
 #include "engine/fault.hpp"
 #include "engine/result_cache.hpp"
+#include "engine/scheduler.hpp"
 #include "engine/wire.hpp"
 #include "engine/worker_proc.hpp"
+#include "telemetry/metrics.hpp"
 #include "workload/application.hpp"
 
 namespace hayat::engine {
@@ -92,6 +92,52 @@ SweepTable runDispatched(const ExperimentSpec& spec,
   config.dispatch = dispatch;
   return ExperimentEngine(config).run(spec);
 }
+
+/// One job on a lane scheduler, as ExperimentEngine::run runs it, with a
+/// test-chosen task timeout.
+SweepTable runOnLanes(const ExperimentSpec& spec, const std::string& dispatch,
+                      double taskTimeoutSeconds) {
+  SchedulerConfig config;
+  config.dispatch = dispatch;
+  config.cache = false;
+  config.taskTimeoutSeconds = taskTimeoutSeconds;
+  SweepScheduler scheduler(config);
+  const auto run = scheduler.attach(spec, 0, "test");
+  EXPECT_TRUE(run->wait()) << run->error();
+  return run->table();
+}
+
+/// The lane core's recovery counters (always collected, telemetry on or
+/// off); a test subtracts a snapshot taken before it runs.
+struct LaneCounters {
+  std::uint64_t deaths = 0;
+  std::uint64_t respawns = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t remote = 0;
+  std::uint64_t fallback = 0;
+
+  static LaneCounters now() {
+    const auto value = [](const char* name) {
+      return telemetry::Registry::global().counter(name).value();
+    };
+    LaneCounters c;
+    c.deaths = value("hayat_serve_lane_deaths_total");
+    c.respawns = value("hayat_serve_lane_respawns_total");
+    c.timeouts = value("hayat_serve_task_timeouts_total");
+    c.remote = value("hayat_serve_tasks_remote_total");
+    c.fallback = value("hayat_serve_tasks_local_fallback_total");
+    return c;
+  }
+  LaneCounters since(const LaneCounters& before) const {
+    LaneCounters d;
+    d.deaths = deaths - before.deaths;
+    d.respawns = respawns - before.respawns;
+    d.timeouts = timeouts - before.timeouts;
+    d.remote = remote - before.remote;
+    d.fallback = fallback - before.fallback;
+    return d;
+  }
+};
 
 // ---------------------------------------------------------------- framing
 
@@ -355,54 +401,35 @@ TEST(SpawnWorkerTest, WorkersKeepNoInheritedDescriptors) {
 TEST(CrashRecoveryTest, WorkerDeathsAreRespawnedAndTableUnchanged) {
   const ExperimentSpec spec = testSpec();
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-  ASSERT_EQ(tasks.size(), 4u);
 
   // Every worker incarnation _exit(42)s after serving one result, so the
   // sweep only finishes if deaths are detected and slots respawned.
   const ScopedEnv crash("HAYAT_WORKER_EXIT_AFTER", "1");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:2");
-  config.respawnBackoffSeconds = 0.02;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  const LaneCounters before = LaneCounters::now();
+  const SweepTable table = runDispatched(spec, "proc:2");
+  const LaneCounters delta = LaneCounters::now().since(before);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 1);
-  EXPECT_GE(stats.workerRespawns, 1);
-  EXPECT_EQ(stats.tasksCompletedRemotely + stats.tasksCompletedLocally, 4);
+  EXPECT_GE(delta.deaths, 1u);
+  EXPECT_GE(delta.respawns, 1u);
+  EXPECT_EQ(delta.remote + delta.fallback, 4u);
 }
 
 TEST(CrashRecoveryTest, WedgedWorkerIsTimedOutAndItsTaskRequeued) {
   ExperimentSpec spec = testSpec();
   spec.chips = {0};  // 2 tasks: the worker serves one, wedges on the next
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-  ASSERT_EQ(tasks.size(), 2u);
 
   const ScopedEnv stall("HAYAT_WORKER_STALL_AFTER", "1");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:1");
-  config.taskTimeoutSeconds = 2.0;
-  config.respawnBackoffSeconds = 0.02;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  const LaneCounters before = LaneCounters::now();
+  const SweepTable table = runOnLanes(spec, "proc:1", 2.0);
+  const LaneCounters delta = LaneCounters::now().since(before);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 1);   // the wedged worker was killed
-  EXPECT_GE(stats.tasksRetried, 1);   // its in-flight task was re-queued
+  EXPECT_GE(delta.timeouts, 1u);  // the wedged worker was timed out
+  EXPECT_GE(delta.deaths, 1u);    // and killed
+  EXPECT_GE(delta.respawns, 1u);  // its task ran on the replacement
+  EXPECT_EQ(delta.remote, 2u);
 }
 
 TEST(DegradationTest, UnreachableFleetFallsBackToLocalThreads) {
@@ -626,33 +653,29 @@ TEST(WireCodecTest, CachePushRoundTripsAndPinsTheCacheVersion) {
                Error);
 }
 
-// ----------------------------------------------------------- work stealing
+// ----------------------------------------------------- shared task queue
 
-TEST(WorkStealingTest, IdleWorkerStealsFromTheDeepestQueue) {
+TEST(LaneQueueTest, FastLaneFinishesEveryTaskTheSlowLaneDoesNotHold) {
   const ExperimentSpec spec = testSpec();  // 4 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-  ASSERT_EQ(tasks.size(), 4u);
 
-  // Two workers, two tasks each, nothing pending.  Worker 1 is slow, so
-  // worker 0 finishes its pair first and must then steal worker 1's
-  // queued (not yet started) tail task instead of idling.
+  // Worker 1 sleeps 1.5 s before every Result.  Lanes pull from one
+  // queue and hold one task each, so the slow lane keeps the one task it
+  // took while the fast lane runs the other three; had it been handed a
+  // second task, the sweep would take 3 s or more.
   const ScopedEnv plan("HAYAT_FAULT_PLAN", "delay:worker=1,ms=1500");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:2");
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  const LaneCounters before = LaneCounters::now();
+  const auto start = std::chrono::steady_clock::now();
+  const SweepTable table = runDispatched(spec, "proc:2");
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const LaneCounters delta = LaneCounters::now().since(before);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.tasksStolen, 1);
-  EXPECT_EQ(stats.workerDeaths, 0);  // stealing, not timeout-killing
-  EXPECT_EQ(stats.tasksCompletedRemotely, 4);
+  EXPECT_LT(seconds, 3.0);
+  EXPECT_EQ(delta.deaths, 0u);  // waiting, not timeout-killing
+  EXPECT_EQ(delta.remote, 4u);
 }
 
 namespace {
@@ -683,8 +706,7 @@ std::string slurpFile(const std::string& path) {
 }
 
 /// A hostile-but-plausible worker: serves the protocol correctly except
-/// that every Result is sent twice — the wire-level shape of a stolen
-/// task completing on both its victim and its thief.
+/// that every Result is sent twice.
 int doubleEchoWorker(int fd) {
   Message msg;
   if (!readMessage(fd, msg) || msg.type != MsgType::Spec) return 1;
@@ -709,70 +731,40 @@ int doubleEchoWorker(int fd) {
 
 }  // namespace
 
-TEST(WorkStealingTest, DuplicateResultsAreDroppedByIndex) {
+TEST(LaneQueueTest, DoubleAnsweringWorkerIsDroppedAndTableUnchanged) {
   const ExperimentSpec spec = testSpec();  // 4 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
 
+  // The worker host serves one connection at a time, each with a fresh
+  // double-answering worker, so the lane can redial after a drop.
   int port = 0;
   const int listenFd = bindLoopback(port);
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    ::_exit(fd < 0 ? 1 : doubleEchoWorker(fd));
+    for (;;) {
+      const int fd = ::accept(listenFd, nullptr, nullptr);
+      if (fd < 0) ::_exit(1);
+      doubleEchoWorker(fd);
+      ::close(fd);
+    }
   }
   ::close(listenFd);
 
-  DispatchConfig config;
-  config.endpoints =
-      parseWorkerSpec("tcp:127.0.0.1:" + std::to_string(port));
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
+  // A lane holds one task, so the second answer to Task k arrives where
+  // the Result of Task k+1 belongs: a protocol violation that costs the
+  // worker its connection.  Every task still resolves exactly once.
+  const LaneCounters before = LaneCounters::now();
+  const SweepTable table =
+      runDispatched(spec, "tcp:127.0.0.1:" + std::to_string(port));
+  const LaneCounters delta = LaneCounters::now().since(before);
 
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
-
-  // Every duplicate before the final Result is observed and dropped; the
-  // table resolves each index exactly once, byte-identical to serial.
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.duplicateResults, 3);
-  EXPECT_EQ(stats.tasksCompletedRemotely, 4);
+  EXPECT_GE(delta.deaths, 1u);
+  EXPECT_EQ(delta.remote + delta.fallback, 4u);
 
   ::kill(child, SIGKILL);
   ::waitpid(child, nullptr, 0);
-}
-
-TEST(WorkStealingTest, StalledHeadTaskIsReStolenWithoutAKill) {
-  const ExperimentSpec spec = testSpec();  // 4 tasks
-  const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-
-  // Worker 1 wedges before its second task.  With head stealing enabled
-  // and the task timeout far away, worker 0 must speculatively re-run
-  // both of worker 1's queued tasks — the tail by moving it, the stalled
-  // head by duplicating it — and finish the sweep with zero deaths.
-  const ScopedEnv plan("HAYAT_FAULT_PLAN", "stall:worker=1,after=1");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:2");
-  config.taskTimeoutSeconds = 60.0;
-  config.stealHeadAfterSeconds = 0.25;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
-
-  EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.tasksStolen, 1);
-  EXPECT_EQ(stats.workerDeaths, 0);
-  EXPECT_EQ(stats.tasksCompletedRemotely, 4);
 }
 
 // ------------------------------------------- injected coordinator faults
@@ -781,56 +773,38 @@ TEST(FaultInjectionTest, DroppedTaskFrameIsRecoveredByTheTimeout) {
   ExperimentSpec spec = testSpec();
   spec.chips = {0};  // 2 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
 
   // Frame 1 is the Spec; frame 2 is Task 0, swallowed at the transport —
-  // the worker sees silence, so only the coordinator's per-task timeout
-  // can save the task.
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:1");
-  config.faultPlan = "drop:frame=2";
-  config.taskTimeoutSeconds = 1.0;
-  config.respawnBackoffSeconds = 0.02;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  // the worker sees silence, so only the lane's per-task timeout can
+  // save the task.
+  const ScopedEnv plan("HAYAT_FAULT_PLAN", "drop:frame=2");
+  const LaneCounters before = LaneCounters::now();
+  const SweepTable table = runOnLanes(spec, "proc:1", 1.0);
+  const LaneCounters delta = LaneCounters::now().since(before);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 1);  // the timeout kill
-  EXPECT_GE(stats.tasksRetried, 1);
-  EXPECT_GE(stats.workerRespawns, 1);
+  EXPECT_GE(delta.timeouts, 1u);
+  EXPECT_GE(delta.deaths, 1u);  // the timeout kill
+  EXPECT_GE(delta.respawns, 1u);
 }
 
 TEST(FaultInjectionTest, CorruptedTaskFrameKillsAndRespawnsTheWorker) {
   ExperimentSpec spec = testSpec();
   spec.chips = {0};  // 2 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
 
   // Frame 2 (Task 0) keeps valid framing but a mangled payload: the
-  // worker's decoder rejects it and exits, which the coordinator sees as
-  // an EOF death — no timeout wait needed.
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:1");
-  config.faultPlan = "corrupt:frame=2";
-  config.respawnBackoffSeconds = 0.02;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  // worker's decoder rejects it and exits, which the lane sees as an EOF
+  // death — no timeout wait needed.
+  const ScopedEnv plan("HAYAT_FAULT_PLAN", "corrupt:frame=2");
+  const LaneCounters before = LaneCounters::now();
+  const SweepTable table = runDispatched(spec, "proc:1");
+  const LaneCounters delta = LaneCounters::now().since(before);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 1);
-  EXPECT_GE(stats.workerRespawns, 1);
+  EXPECT_GE(delta.deaths, 1u);
+  EXPECT_GE(delta.respawns, 1u);
+  EXPECT_EQ(delta.timeouts, 0u);
 }
 
 TEST(FaultInjectionTest, SoakSweepSurvivesEveryWorkerDying) {
@@ -838,32 +812,23 @@ TEST(FaultInjectionTest, SoakSweepSurvivesEveryWorkerDying) {
   spec.darkFractions = {0.25, 0.5};
   spec.repetitions = 2;  // 16 tasks
   const SweepTable serial = serialReference(spec);
-  const std::vector<RunTask> tasks = ExperimentEngine().expand(spec);
-  ASSERT_EQ(tasks.size(), 16u);
+  ASSERT_EQ(serial.runs.size(), 16u);
 
   // Every slot's incarnation _exit(43)s after serving one result, so the
   // sweep finishes only if all four slots are killed and respawned —
-  // repeatedly — while queued tasks are re-queued or stolen each time.
+  // repeatedly — until their respawn budgets run out and the lanes run
+  // the rest in-process.
   const ScopedEnv plan("HAYAT_FAULT_PLAN",
                        "die:worker=0,after=1;die:worker=1,after=1;"
                        "die:worker=2,after=1;die:worker=3,after=1");
-  DispatchConfig config;
-  config.endpoints = parseWorkerSpec("proc:4");
-  config.respawnBackoffSeconds = 0.02;
-  config.maxRespawns = 16;
-  config.localFallbackWorkers = 1;
-  Dispatcher dispatcher(config);
-  ASSERT_GT(dispatcher.connect(spec), 0);
-
-  SweepTable table;
-  table.runs = dispatcher.run(spec, tasks);
-  dispatcher.shutdown();
+  const LaneCounters before = LaneCounters::now();
+  const SweepTable table = runDispatched(spec, "proc:4");
+  const LaneCounters delta = LaneCounters::now().since(before);
 
   EXPECT_EQ(tableBytes(serial), tableBytes(table));
-  const DispatchStats& stats = dispatcher.stats();
-  EXPECT_GE(stats.workerDeaths, 4);    // each slot died at least once
-  EXPECT_GE(stats.workerRespawns, 4);  // and came back
-  EXPECT_EQ(stats.tasksCompletedRemotely + stats.tasksCompletedLocally, 16);
+  EXPECT_GE(delta.deaths, 4u);    // each slot died at least once
+  EXPECT_GE(delta.respawns, 4u);  // and came back
+  EXPECT_EQ(delta.remote + delta.fallback, 16u);
 }
 
 // --------------------------------------------------------- cache pushing

@@ -1,7 +1,8 @@
 // The `hayat serve` subsystem: HTTP parsing (including a fuzz pass — the
 // front door must answer 400, never crash or hang), the durable job
-// queue, the deduplicating scheduler, and the full daemon loop: submit,
-// stream, cancel, auth, admission control, drain, and crash recovery.
+// queue, the deduplicating lane scheduler, and the full daemon loop:
+// submit, stream, cancel, auth, admission control, drain, worker lanes,
+// and crash recovery.
 //
 // The strong contract throughout: a job's result stream is the
 // concatenated canonical run records of tasks 0..n-1, byte-identical to
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -29,19 +31,22 @@
 
 #include "engine/engine.hpp"
 #include "engine/result_cache.hpp"
+#include "engine/scheduler.hpp"
 #include "engine/wire.hpp"
 #include "engine/worker_proc.hpp"
 #include "serve/http.hpp"
 #include "serve/http_client.hpp"
 #include "serve/job_queue.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace hayat::serve {
 namespace {
 
 using engine::ExperimentSpec;
+using engine::SchedulerConfig;
+using engine::SweepScheduler;
 using engine::SweepTable;
 
 /// Fresh scratch directory per test; removed on destruction.
@@ -439,6 +444,29 @@ TEST(SchedulerTest, SameSpecJobsShareOneRunAndTheDiskCache) {
 
 // ----------------------------------------------------------- the daemon
 
+/// Sets an environment variable for the guard's lifetime.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    ::setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+};
+
+/// Telemetry collection on for the guard's lifetime.
+class ScopedTelemetry {
+ public:
+  ScopedTelemetry() { telemetry::setEnabled(true); }
+  ~ScopedTelemetry() { telemetry::setEnabled(false); }
+  ScopedTelemetry(const ScopedTelemetry&) = delete;
+  ScopedTelemetry& operator=(const ScopedTelemetry&) = delete;
+};
+
 ServeConfig smallServerConfig(const std::string& queueDir,
                               const std::string& cacheDir) {
   ServeConfig config;
@@ -807,6 +835,71 @@ TEST(ServeServerTest, SigkillMidSweepRecoversToByteIdenticalResults) {
   EXPECT_EQ(bytes, expected);
   ASSERT_TRUE(awaitJobState(port2, "j1", "completed"));
   restarted.stop();
+}
+
+TEST(ServeServerTest, WorkerLanesSendTheirTelemetryToTheDaemon) {
+  TempDir queueDir("srv_telemetry");
+  TempDir cacheDir("srv_telemetry_cache");
+  const ExperimentSpec spec = testSpec("srv-telemetry");
+  const std::string expected = tableBytes(serialReference(spec));
+
+  telemetry::resetWorkerCountersForTest();
+  const ScopedTelemetry on;
+  ServeConfig config = smallServerConfig(queueDir.path(), cacheDir.path());
+  config.dispatch = "proc:2";
+  ServeServer server(config);
+  ASSERT_TRUE(server.start());
+  const int port = server.port();
+
+  HttpClientResponse resp;
+  ASSERT_TRUE(httpRequest("127.0.0.1", port, "POST", "/jobs",
+                          engine::encodeSpec(spec), {}, resp));
+  ASSERT_EQ(resp.status, 201);
+  std::string bytes;
+  ASSERT_TRUE(streamJob(port, "j1", bytes));
+  EXPECT_EQ(bytes, expected);
+
+  // Each worker's Result frames carried its counter deltas, and every
+  // task ran on a worker: the merged aggregate counts each run once, and
+  // the daemon's /metrics exports the worker-sourced series.
+  const std::map<std::string, std::uint64_t> workers =
+      telemetry::workerCounters();
+  const auto runs = workers.find("hayat_lifetime_runs_total");
+  ASSERT_NE(runs, workers.end());
+  EXPECT_EQ(runs->second, static_cast<std::uint64_t>(spec.taskCount()));
+  ASSERT_TRUE(httpRequest("127.0.0.1", port, "GET", "/metrics", "", {}, resp));
+  EXPECT_NE(resp.body.find("hayat_lifetime_runs_total{source=\"worker\"}"),
+            std::string::npos);
+  server.stop();
+}
+
+TEST(ServeServerTest, DyingWorkerLaneStillStreamsByteIdenticalRows) {
+  TempDir queueDir("srv_faults");
+  TempDir cacheDir("srv_faults_cache");
+  ExperimentSpec spec = testSpec("srv-faults");
+  spec.repetitions = 2;  // 8 tasks: slot 0 is sure to take more than one
+  const std::string expected = tableBytes(serialReference(spec));
+
+  // Slot 0's worker exits after each first Result.  Its lane respawns
+  // the worker and retries until the budget is spent, then computes
+  // in-process; slot 1 is healthy.
+  const ScopedEnv plan("HAYAT_FAULT_PLAN", "die:worker=0,after=1");
+  const auto deathsBefore = counterValue("hayat_serve_lane_deaths_total");
+  ServeConfig config = smallServerConfig(queueDir.path(), cacheDir.path());
+  config.dispatch = "proc:2";
+  ServeServer server(config);
+  ASSERT_TRUE(server.start());
+  const int port = server.port();
+
+  HttpClientResponse resp;
+  ASSERT_TRUE(httpRequest("127.0.0.1", port, "POST", "/jobs",
+                          engine::encodeSpec(spec), {}, resp));
+  ASSERT_EQ(resp.status, 201);
+  std::string bytes;
+  ASSERT_TRUE(streamJob(port, "j1", bytes));
+  EXPECT_EQ(bytes, expected);
+  EXPECT_GE(counterValue("hayat_serve_lane_deaths_total") - deathsBefore, 1u);
+  server.stop();
 }
 
 // ------------------------------------------------ wire v5 + worker sniff
