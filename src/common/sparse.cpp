@@ -271,6 +271,19 @@ BandedFactorization::BandedFactorization(const SparseMatrix& a, int band)
       for (int c = 0; c < len; ++c) row[c] -= factor * rowK[c];
     }
   }
+
+  // Each row's profile inside the band: the leading (L) and trailing (U)
+  // entries that elimination left at exact zero.
+  lowerBegin_.resize(static_cast<std::size_t>(n_));
+  upperEnd_.resize(static_cast<std::size_t>(n_));
+  for (int r = 0; r < n_; ++r) {
+    int first = std::max(0, r - band_);
+    while (first < r && at(r, first) == 0.0) ++first;
+    lowerBegin_[static_cast<std::size_t>(r)] = first;
+    int last = std::min(n_ - 1, r + band_);
+    while (last > r && at(r, last) == 0.0) --last;
+    upperEnd_[static_cast<std::size_t>(r)] = last;
+  }
 }
 
 void BandedFactorization::solveInPlace(Vector& x) const {
@@ -312,46 +325,50 @@ bool BandedFactorization::solvePermuted(Vector& x, Vector& scratch,
   HAYAT_DCHECK(static_cast<int>(scratch.size()) >= n_);
   double* s = scratch.data();
   const int* p = perm.data();
+  const int* lo = lowerBegin_.data();
+  const int* hi = upperEnd_.data();
   // Forward substitution (unit lower triangle), two rows jammed per
   // traversal: row i+1's partial sums ride the same pass over s[] that
   // row i uses, and the gather x[perm[i]] replaces the pack pass.  Each
-  // accumulator applies its subtractions in ascending j — exactly the
-  // solveInPlace sequence — so the jam reorders only operations on
-  // *different* accumulators and every element matches bitwise.
+  // row runs over its profile [lo[i], i) only: the band entries before
+  // it are exact zeros, whose terms subtract a zero and change nothing.
+  // Each accumulator applies its subtractions in ascending j — exactly
+  // the solveInPlace sequence minus those zero terms — so the jam
+  // reorders only operations on *different* accumulators and every
+  // element matches bitwise.
   int i = 0;
-  if (band_ > 0) {  // a zero band has empty rows — nothing to jam
-    for (; i + 1 < n_; i += 2) {
-      double acc0 = x[static_cast<std::size_t>(p[i])];
-      double acc1 = x[static_cast<std::size_t>(p[i + 1])];
-      const int jb0 = std::max(0, i - band_);
-      const int jb1 = std::max(0, i + 1 - band_);
-      if (jb1 > jb0) acc0 -= at(i, jb0) * s[jb0];  // row i starts one early
-      for (int j = jb1; j < i; ++j) {
-        const double v = s[j];
-        acc0 -= at(i, j) * v;
-        acc1 -= at(i + 1, j) * v;
-      }
-      s[i] = acc0;
-      acc1 -= at(i + 1, i) * acc0;  // row i+1's last term, still ascending j
-      s[i + 1] = acc1;
+  for (; i + 1 < n_; i += 2) {
+    double acc0 = x[static_cast<std::size_t>(p[i])];
+    double acc1 = x[static_cast<std::size_t>(p[i + 1])];
+    const int jb0 = lo[i];
+    const int jb1 = lo[i + 1];
+    const int shared = std::max(jb0, jb1);  // first column both rows use
+    const int lead = std::min(shared, i);   // end of the one-row prefix
+    for (int j = jb0; j < lead; ++j) acc0 -= at(i, j) * s[j];
+    for (int j = jb1; j < lead; ++j) acc1 -= at(i + 1, j) * s[j];
+    for (int j = shared; j < i; ++j) {
+      const double v = s[j];
+      acc0 -= at(i, j) * v;
+      acc1 -= at(i + 1, j) * v;
     }
+    s[i] = acc0;
+    if (jb1 <= i) acc1 -= at(i + 1, i) * acc0;  // row i+1's last term
+    s[i + 1] = acc1;
   }
   for (; i < n_; ++i) {
     double acc = x[static_cast<std::size_t>(p[i])];
-    const int jb = std::max(0, i - band_);
-    for (int j = jb; j < i; ++j) acc -= at(i, j) * s[j];
+    for (int j = lo[i]; j < i; ++j) acc -= at(i, j) * s[j];
     s[i] = acc;
   }
-  // Back substitution.  Row i-1's first subtraction uses the final x[i],
-  // which only exists after row i completes, so rows cannot be jammed
-  // here without reordering row i-1's ascending-j sequence; the sweep
-  // stays row-at-a-time with the scatter (and the fixed-point compare)
-  // fused into the final write.
+  // Back substitution over each row's profile (r, hi[r]].  Row i-1's
+  // first subtraction uses the final x[i], which only exists after row
+  // i completes, so rows cannot be jammed here without reordering row
+  // i-1's ascending-j sequence; the sweep stays row-at-a-time with the
+  // scatter (and the fixed-point compare) fused into the final write.
   bool equal = compare != nullptr;
   for (int r = n_ - 1; r >= 0; --r) {
     double acc = s[r];
-    const int jEnd = std::min(n_ - 1, r + band_);
-    for (int j = r + 1; j <= jEnd; ++j) acc -= at(r, j) * s[j];
+    for (int j = r + 1; j <= hi[r]; ++j) acc -= at(r, j) * s[j];
     const double v = acc / at(r, r);
     s[r] = v;
     const auto dst = static_cast<std::size_t>(p[r]);

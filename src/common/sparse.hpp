@@ -133,8 +133,11 @@ class BandedFactorization {
   /// straight to x[perm[i]] — the separate pack and unpack passes of the
   /// pre-§3.13 RcSolver are gone.  The forward sweep jams two rows per
   /// traversal; every accumulator still applies its subtractions in
-  /// ascending j, so the operation sequence per element is exactly
-  /// pack -> solveInPlace -> unpack and the results are bitwise equal.
+  /// ascending j.  Both sweeps walk each row's profile only, leaving out
+  /// the band entries elimination kept at exact zero (their terms
+  /// subtract a zero, as the band itself leaves out the dense matrix's
+  /// zeros), so the results are bitwise those of
+  /// pack -> solveInPlace -> unpack.
   ///
   /// When `compare` is non-null (original-domain array of size()), the
   /// scatter also checks each solution element bitwise against it and
@@ -180,6 +183,10 @@ class BandedFactorization {
   int n_ = 0;
   int band_ = 0;
   std::vector<double> band_data_;  ///< row-major band storage
+  /// Row r's profile: L entries in [lowerBegin_[r], r) and U entries in
+  /// (r, upperEnd_[r]]; the band entries outside it are exact zeros.
+  std::vector<int> lowerBegin_;
+  std::vector<int> upperEnd_;
 };
 
 /// The solver the thermal models use: one bandwidth-reducing permutation

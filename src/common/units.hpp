@@ -21,6 +21,9 @@ using Joules = double;    ///< energy [J]
 /// 0 °C in Kelvin.
 inline constexpr Kelvin kZeroCelsius = 273.15;
 
+/// Boltzmann constant over elementary charge [V/K]; VT = (k/q) * T.
+inline constexpr double kBoltzmannOverCharge = 8.617333262e-5;
+
 constexpr Kelvin celsiusToKelvin(Celsius c) { return c + kZeroCelsius; }
 constexpr Celsius kelvinToCelsius(Kelvin k) { return k - kZeroCelsius; }
 

@@ -9,6 +9,7 @@
 //   corrupt:frame=N     coordinator: mangle the payload of frame N
 //   delay:worker=W,ms=M worker slot W: sleep M ms before every Result
 //   die:worker=W,after=K worker slot W: _exit(43) after K Results
+//                        (K = 0: on its first Task, before any Result)
 //   stall:worker=W,after=K worker slot W: hang before task K+1
 //
 // Rules are ';'-separated (`drop:frame=3;die:worker=2,after=5`).  Frame

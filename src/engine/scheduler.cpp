@@ -387,7 +387,8 @@ void SweepScheduler::laneLoop(Lane& lane) {
     std::string error;
     // A worker lost mid-task is replaced and the task retried on the
     // replacement; each loss spends the lane's respawn budget, so this
-    // ends.
+    // ends.  A task completed remotely restores the budget: it bounds
+    // consecutive losses, not losses over the scheduler's life.
     Remote outcome = Remote::RunLocally;
     if (lane.remote) {
       do {
@@ -396,6 +397,7 @@ void SweepScheduler::laneLoop(Lane& lane) {
       } while (outcome == Remote::WorkerLost);
     }
     if (outcome == Remote::Done) {
+      lane.deaths = 0;
       ok = true;
       count("hayat_serve_tasks_remote_total");
     } else {

@@ -14,7 +14,8 @@
 //   - Recovery.  A remote task that times out, or whose worker dies or
 //     breaks the protocol, costs the lane its worker; the lane respawns
 //     (or redials) it and retries the task, at most kLaneRespawns times
-//     in all.  A lane whose worker is gone — past that budget, or
+//     in a row (a task completed on a live worker resets the count).  A
+//     lane whose worker is gone — past that budget, or
 //     unreachable — runs its tasks in-process on its own thread, as it
 //     does a task its worker reports failed.  A sweep never fails because
 //     a fleet did.
@@ -74,8 +75,9 @@ struct SchedulerConfig {
   double taskTimeoutSeconds = 300.0;
 };
 
-/// Worker deaths a remote lane tolerates before it runs every further
-/// task in-process.
+/// Consecutive worker deaths a remote lane tolerates before it runs
+/// every further task in-process; a task completed on a live worker
+/// resets the count, so transient losses never exhaust it.
 inline constexpr int kLaneRespawns = 3;
 
 class SweepScheduler;
@@ -191,7 +193,7 @@ class SweepScheduler {
     int slot = 0;  ///< index in lanes_, exported to fault rules
     int fd = -1;
     pid_t pid = -1;
-    int deaths = 0;
+    int deaths = 0;  ///< consecutive worker losses (reset on a remote result)
     std::set<std::uint64_t> sentSpecs;
   };
 

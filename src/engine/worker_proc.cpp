@@ -312,6 +312,10 @@ int runWorkerLoop(int inFd, int outFd) {
     }
     const ServedSpec& serving = servedIt->second;
 
+    // die:...,after=0 must fire before the first Result; for K >= 1 the
+    // check after each Result below has already fired.
+    if (dieAfter >= 0 && served >= dieAfter)
+      ::_exit(kFaultDeathExitCode);
     if (stallAfter >= 0 && served >= stallAfter) {
       // Fault injection: a wedged worker.  The coordinator's per-task
       // timeout must kill and replace us.

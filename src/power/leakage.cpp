@@ -1,15 +1,10 @@
 #include "power/leakage.hpp"
 
-#include <cmath>
 #include <type_traits>
 
 #include "common/error.hpp"
 
 namespace hayat {
-
-namespace {
-constexpr double kBoltzmannOverCharge = 8.617333262e-5;  // [V/K]
-}
 
 LeakageModel::LeakageModel(LeakageConfig config, const VariationMap& variation)
     : config_(config), variation_(&variation) {
@@ -17,27 +12,19 @@ LeakageModel::LeakageModel(LeakageConfig config, const VariationMap& variation)
   HAYAT_REQUIRE(config.gatedCoreLeakage >= 0.0, "negative gated leakage");
   HAYAT_REQUIRE(config.referenceTemperature > 0.0,
                 "reference temperature must be positive kelvin");
+  referenceUnnormalized_ = unnormalized(config_.referenceTemperature);
 }
 
 double LeakageModel::temperatureFactor(Kelvin temperature) const {
   HAYAT_REQUIRE(temperature > 0.0, "temperature must be positive kelvin");
-  // Clamp the evaluation temperature: beyond ~400 K the subthreshold
-  // model would feed a thermal runaway the package physics (melting TIM,
-  // tripped PROCHOT) makes unreachable; the clamp keeps the coupled
-  // leakage fixed point contractive under extreme transients.
-  const Kelvin t = std::min(temperature, 400.0);
-  const double n = config_.subthresholdSlopeFactor;
-  const double vth = config_.nominalVth;
-  auto unnormalized = [&](Kelvin x) {
-    const double vt = kBoltzmannOverCharge * x;
-    return x * x * std::exp(-vth / (n * vt));
-  };
-  return unnormalized(t) / unnormalized(config_.referenceTemperature);
+  return factor(temperature);
 }
 
 Watts LeakageModel::coreLeakageOn(int core, Kelvin temperature) const {
-  return config_.nominalCoreLeakage * temperatureFactor(temperature) *
-         variation_->coreLeakageMultiplier(core, temperature);
+  HAYAT_REQUIRE(temperature > 0.0, "temperature must be positive kelvin");
+  HAYAT_REQUIRE(core >= 0 && core < variation_->coreCount(),
+                "core index out of range");
+  return onLeakage(core, temperature);
 }
 
 Watts LeakageModel::coreLeakageGated() const {
@@ -47,6 +34,24 @@ Watts LeakageModel::coreLeakageGated() const {
 Watts LeakageModel::coreLeakage(int core, Kelvin temperature,
                                 bool poweredOn) const {
   return poweredOn ? coreLeakageOn(core, temperature) : coreLeakageGated();
+}
+
+void LeakageModel::leakageInto(const Vector& temperatures,
+                               const std::vector<unsigned char>& poweredOn,
+                               Vector& out) const {
+  const std::size_t n = static_cast<std::size_t>(variation_->coreCount());
+  HAYAT_REQUIRE(temperatures.size() == n && poweredOn.size() == n,
+                "leakage input size mismatch");
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (poweredOn[i] == 0) {
+      out[i] = config_.gatedCoreLeakage;
+      continue;
+    }
+    HAYAT_REQUIRE(temperatures[i] > 0.0,
+                  "temperature must be positive kelvin");
+    out[i] = onLeakage(static_cast<int>(i), temperatures[i]);
+  }
 }
 
 namespace {

@@ -13,8 +13,13 @@
 // VariationMap::coreLeakageMultiplier (Eq. 2).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <string>
+#include <vector>
 
+#include "common/matrix.hpp"
 #include "common/units.hpp"
 #include "variation/variation_map.hpp"
 
@@ -52,6 +57,15 @@ class LeakageModel {
   /// Leakage of core i given its power state psi (Section III).
   Watts coreLeakage(int core, Kelvin temperature, bool poweredOn) const;
 
+  /// Every core's leakage at once: out[i] = coreLeakage(i,
+  /// temperatures[i], poweredOn[i] != 0), bitwise.  The hot-loop entry
+  /// point of the epoch step and the coupled warm start: no per-core
+  /// index or vector-of-vectors lookups.  `out` is resized to the core
+  /// count (no allocation once sized).
+  void leakageInto(const Vector& temperatures,
+                   const std::vector<unsigned char>& poweredOn,
+                   Vector& out) const;
+
   const LeakageConfig& config() const { return config_; }
 
   /// Appends the exact bytes every coreLeakage() output can depend on —
@@ -63,8 +77,40 @@ class LeakageModel {
   void signatureInto(std::string& out) const;
 
  private:
+  /// T^2 exp(-Vth / (n k T / q)): the McPAT subthreshold shape.
+  double unnormalized(Kelvin temperature) const {
+    const double vt = kBoltzmannOverCharge * temperature;
+    return temperature * temperature *
+           std::exp(-config_.nominalVth /
+                    (config_.subthresholdSlopeFactor * vt));
+  }
+
+  /// temperatureFactor without the argument check.
+  double factor(Kelvin temperature) const {
+    // Clamp the evaluation temperature: beyond ~400 K the subthreshold
+    // model would feed a thermal runaway the package physics (melting
+    // TIM, tripped PROCHOT) makes unreachable; the clamp keeps the
+    // coupled leakage fixed point contractive under extreme transients.
+    return unnormalized(std::min(temperature, 400.0)) / referenceUnnormalized_;
+  }
+
+  /// The leakage kernel: nominal * temperatureFactor * Eq. (2)
+  /// multiplier of a powered core, in that order.  Unchecked — every
+  /// public entry point validates, then lands here.
+  Watts onLeakage(int core, Kelvin temperature) const {
+    const int points = variation_->pointsPerCore();
+    return config_.nominalCoreLeakage * factor(temperature) *
+           leakageMultiplier(variation_->vthDeltaData() +
+                                 static_cast<std::ptrdiff_t>(core) * points,
+                             points,
+                             variation_->config().subthresholdSlopeFactor,
+                             temperature);
+  }
+
   LeakageConfig config_;
   const VariationMap* variation_;
+  /// unnormalized(referenceTemperature), computed once.
+  double referenceUnnormalized_ = 1.0;
 };
 
 }  // namespace hayat

@@ -1,7 +1,6 @@
 #include "power/thermal_coupling.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -25,25 +24,25 @@ CoupledOperatingPoint solveCoupledSteadyState(const ThermalModel& thermal,
                              thermal.config().ambient);
   op.corePower.assign(static_cast<std::size_t>(n), 0.0);
   op.leakagePower.assign(static_cast<std::size_t>(n), 0.0);
+  const std::vector<unsigned char> on(poweredOn.begin(), poweredOn.end());
+  Vector next;
+  Vector scratch;
 
   for (int iter = 0; iter < maxIterations; ++iter) {
-    for (int i = 0; i < n; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      op.leakagePower[s] = leakage.coreLeakage(i, op.coreTemperatures[s],
-                                               poweredOn[s]);
+    leakage.leakageInto(op.coreTemperatures, on, op.leakagePower);
+    for (std::size_t s = 0; s < op.corePower.size(); ++s)
       op.corePower[s] = dynamicPower[s] + op.leakagePower[s];
-    }
     // Solve the full network once and keep the node vector: the last
     // iteration's solve *is* steadyState(op.corePower), which the epoch
     // warm start would otherwise recompute.
-    op.nodeTemperatures = thermal.steadyState(op.corePower);
-    Vector next = thermal.coreTemperatures(op.nodeTemperatures);
+    thermal.steadyStateInto(op.corePower, op.nodeTemperatures, scratch);
+    thermal.coreTemperaturesInto(op.nodeTemperatures, next);
     const double delta = maxAbsDiff(next, op.coreTemperatures);
     // Mild under-relaxation keeps the iteration contractive even for
     // chips whose leakiest cores sit near the thermal-runaway gain limit.
     for (std::size_t i = 0; i < next.size(); ++i)
       next[i] = 0.5 * (next[i] + op.coreTemperatures[i]);
-    op.coreTemperatures = std::move(next);
+    std::swap(op.coreTemperatures, next);
     op.iterations = iter + 1;
     if (delta < toleranceKelvin) {
       op.converged = true;

@@ -16,6 +16,27 @@ DtmManager::DtmManager(DtmConfig config) : config_(config) {
                 "throttle floor must be positive");
 }
 
+bool DtmManager::evaluate(Mapping& mapping, const CoreSlots& slots,
+                          const Vector& coreTemperatures,
+                          const HealthMap& health) {
+  const std::size_t n = slots.busy.size();
+  HAYAT_REQUIRE(coreTemperatures.size() == n,
+                "temperature vector size mismatch");
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool busy = slots.busy[i] != 0;
+    const Kelvin t = coreTemperatures[i];
+    const bool restorable =
+        busy && canRestore(slots.frequency[i], slots.requiredFrequency[i], t);
+    if (isHot(busy, t) || restorable) {
+      const long restoresBefore = stats_.restores;
+      return enforce(mapping, coreTemperatures, health) > 0 ||
+             stats_.restores != restoresBefore;
+    }
+  }
+  ++tick_;
+  return false;
+}
+
 int DtmManager::enforce(Mapping& mapping, const Vector& coreTemperatures,
                         const HealthMap& health) {
   const int n = mapping.coreCount();
@@ -30,9 +51,8 @@ int DtmManager::enforce(Mapping& mapping, const Vector& coreTemperatures,
   for (int i = 0; i < n; ++i) {
     const auto& slot = mapping.onCore(i);
     if (!slot.has_value()) continue;
-    if (slot->frequency < slot->requiredFrequency &&
-        coreTemperatures[static_cast<std::size_t>(i)] <
-            config_.tsafe - config_.coldMargin) {
+    if (canRestore(slot->frequency, slot->requiredFrequency,
+                   coreTemperatures[static_cast<std::size_t>(i)])) {
       mapping.restoreFrequency(i);
       ++stats_.restores;
       if (telemetry::enabled()) {
@@ -46,11 +66,10 @@ int DtmManager::enforce(Mapping& mapping, const Vector& coreTemperatures,
   // Hot cores, hottest first.
   std::vector<int>& hot = hotScratch_;
   hot.clear();
-  for (int i = 0; i < n; ++i) {
-    if (!mapping.coreBusy(i)) continue;
-    if (coreTemperatures[static_cast<std::size_t>(i)] >= config_.tsafe)
+  for (int i = 0; i < n; ++i)
+    if (isHot(mapping.coreBusy(i),
+              coreTemperatures[static_cast<std::size_t>(i)]))
       hot.push_back(i);
-  }
   std::sort(hot.begin(), hot.end(), [&](int a, int b) {
     return coreTemperatures[static_cast<std::size_t>(a)] >
            coreTemperatures[static_cast<std::size_t>(b)];

@@ -61,7 +61,26 @@ class DtmManager {
   int enforce(Mapping& mapping, const Vector& coreTemperatures,
               const HealthMap& health);
 
+  /// The per-step DTM check of the epoch loop.  Calls enforce() only if
+  /// it can act: some busy core is at/above Tsafe, or some throttled core
+  /// is below Tsafe - coldMargin.  Otherwise the step is a quiet tick —
+  /// it advances the evaluation counter exactly as a no-op enforce()
+  /// would, so cooldowns and statistics are unchanged.  `slots` must
+  /// mirror `mapping` (Mapping::slotsInto).  Returns true iff the
+  /// mapping changed (a migration, throttle or restore).
+  bool evaluate(Mapping& mapping, const CoreSlots& slots,
+                const Vector& coreTemperatures, const HealthMap& health);
+
  private:
+  /// The two trigger predicates; enforce() and evaluate() share them.
+  bool isHot(bool busy, Kelvin temperature) const {
+    return busy && temperature >= config_.tsafe;
+  }
+  bool canRestore(Hertz frequency, Hertz required, Kelvin temperature) const {
+    return frequency < required &&
+           temperature < config_.tsafe - config_.coldMargin;
+  }
+
   DtmConfig config_;
   DtmStats stats_;
   long tick_ = 0;

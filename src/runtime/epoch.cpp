@@ -254,15 +254,18 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
       config_.thermalSensorNoise.quantization > 0.0;
   Rng sensorRng(config_.thermalSensorSeed);
 
+  // Per-window flat state (DESIGN.md §3.8): the mapping's slots as
+  // contiguous arrays, rebuilt only when the DTM changes the mapping.
+  CoreSlots slots;
+  mapping.slotsInto(mix, config_.nominalFrequency, slots);
+
   // Warm start: the chip has been executing this workload, so begin from
   // the coupled steady state of the mapping's average power.  The
   // coupled solver hands out the node temperatures of its final solve,
   // so no second full-network solve is needed.
   Vector nodeTemps;
   {
-    std::vector<bool> on(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      on[static_cast<std::size_t>(i)] = mapping.coreBusy(i);
+    const std::vector<bool> on(slots.busy.begin(), slots.busy.end());
     CoupledOperatingPoint op = solveCoupledSteadyState(
         *thermal_, *leakage_,
         mapping.averageDynamicPower(mix, config_.nominalFrequency), on);
@@ -300,7 +303,9 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
   Vector stepScratch;
   Vector solveScratch;
   Vector fixedPower;
-  mapping.dynamicPowerInto(mix, 0.0, config_.nominalFrequency, corePower);
+  std::vector<const ThreadPhase*> phases(static_cast<std::size_t>(n),
+                                         nullptr);
+  corePower.resize(static_cast<std::size_t>(n));
   thermal_->coreTemperaturesInto(nodeTemps, coreTemps);
   if (noisySensors) readings.resize(static_cast<std::size_t>(n));
   stepScratch.resize(static_cast<std::size_t>(thermal_->nodeCount()));
@@ -312,17 +317,35 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
   bool atFixedPoint = false;
   const std::uint64_t allocsBefore = heapAllocationCount();
 
+  // Each busy core's phase at `now`, resolved once per step and shared
+  // by the power and accounting loops.
+  auto resolvePhases = [&](Seconds now) {
+    for (std::size_t i = 0; i < phases.size(); ++i)
+      phases[i] = slots.busy[i] != 0 ? &slots.profile[i]->phaseAt(now)
+                                     : nullptr;
+  };
+  // DTM check at the sensed temperatures; a changed mapping refreshes
+  // the flat state and the phases of the threads it moved.
+  auto runDtm = [&](const Vector& sensed, Seconds now) {
+    if (dtm.evaluate(mapping, slots, sensed, chip_->health())) {
+      mapping.slotsInto(mix, config_.nominalFrequency, slots);
+      resolvePhases(now);
+    }
+  };
+
   for (int s = 0; s < steps; ++s) {
     const Seconds now = s * config_.step;
 
-    // Per-core power for this step: phased dynamic power plus leakage at
-    // the present temperatures (the 6.6 ms leakage update of Section V).
-    mapping.dynamicPowerInto(mix, now, config_.nominalFrequency, corePower);
-    for (int i = 0; i < n; ++i) {
-      const auto si = static_cast<std::size_t>(i);
-      corePower[si] += leakage_->coreLeakage(i, coreTemps[si],
-                                             mapping.coreBusy(i));
-    }
+    // Per-core power for this step: leakage at the present temperatures
+    // (the 6.6 ms leakage update of Section V) plus, on busy cores, the
+    // phased dynamic power — the same sum as dynamic + leakage, since
+    // IEEE addition commutes exactly.
+    resolvePhases(now);
+    leakage_->leakageInto(coreTemps, slots.busy, corePower);
+    for (std::size_t i = 0; i < phases.size(); ++i)
+      if (phases[i] != nullptr)
+        corePower[i] =
+            phases[i]->dynamicPower * slots.powerScale[i] + corePower[i];
 
     if (atFixedPoint &&
         std::memcmp(corePower.data(), fixedPower.data(),
@@ -330,7 +353,7 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
       // Same input temperatures (bitwise fixed point) and same power
       // bytes ⇒ the solve would reproduce the temperatures exactly and
       // the DTM-quiet evaluation would again be a no-op; skip both and
-      // replay only the accounting below (which re-reads the phase at
+      // replay only the accounting below (which reads the phase at
       // `now`, so phase changes invisible to the power vector — equal
       // watts, different IPC — still account correctly).
       ++skippedLocal;
@@ -342,10 +365,10 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
         const bool reachedFixedPoint = solver_.stepInPlaceDetect(
             nodeTemps, corePower, stepScratch, solveScratch);
         thermal_->coreTemperaturesInto(nodeTemps, coreTemps);
-        dtm.enforce(mapping, coreTemps, chip_->health());
+        runDtm(coreTemps, now);
         // Arm the skip only while the DTM has never acted: with an empty
         // migration history its tick counter is unobservable, so skipped
-        // enforce() calls cannot skew later cooldown decisions.
+        // evaluations cannot skew later cooldown decisions.
         if (reachedFixedPoint && dtm.stats().events() == 0 &&
             dtm.stats().restores == 0) {
           atFixedPoint = true;
@@ -356,14 +379,15 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
         thermal_->coreTemperaturesInto(nodeTemps, coreTemps);
 
         // DTM check at the sensor temperatures (noisy if configured; the
-        // accounting below always records the true temperatures).
+        // accounting below always records the true temperatures).  Every
+        // reading is drawn on every step, acted on or not.
         if (noisySensors) {
           for (int i = 0; i < n; ++i)
             readings[static_cast<std::size_t>(i)] = thermalSensor.read(
                 coreTemps[static_cast<std::size_t>(i)], sensorRng);
-          dtm.enforce(mapping, readings, chip_->health());
+          runDtm(readings, now);
         } else {
-          dtm.enforce(mapping, coreTemps, chip_->health());
+          runDtm(coreTemps, now);
         }
       }
     }
@@ -377,16 +401,12 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
           std::max(result.peakTemperature[si], coreTemps[si]);
       result.chipPeak = std::max(result.chipPeak, coreTemps[si]);
       tempTimeAccum += coreTemps[si];
-      const auto& slot = mapping.onCore(i);
-      if (slot.has_value()) {
-        const Application& app =
-            mix.applications[static_cast<std::size_t>(slot->ref.app)];
-        const ThreadPhase& phase =
-            app.thread(slot->ref.thread).phaseAt(now);
-        result.duty[si] += phase.dutyCycle;
-        result.achievedIps += phase.ipc * slot->frequency;
-        result.requiredIps += phase.ipc * slot->requiredFrequency;
-        if (slot->frequency < slot->requiredFrequency) throttled = true;
+      if (const ThreadPhase* phase = phases[si]) {
+        result.duty[si] += phase->dutyCycle;
+        result.achievedIps += phase->ipc * slots.frequency[si];
+        result.requiredIps += phase->ipc * slots.requiredFrequency[si];
+        if (slots.frequency[si] < slots.requiredFrequency[si])
+          throttled = true;
       }
     }
     if (throttled) ++result.throttledSteps;
@@ -426,7 +446,7 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
             {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0});
     windows.add();
     if (loopAllocs > 0) stepAllocs.add(loopAllocs);
-    if (skippedLocal > 0) skipped.add(static_cast<double>(skippedLocal));
+    if (skippedLocal > 0) skipped.add(skippedLocal);
     if (windowT0 != 0)
       duration.observe(static_cast<double>(telemetry::nowNanos() - windowT0) *
                        1e-9);

@@ -92,15 +92,8 @@ DarkCoreMap Mapping::toDarkCoreMap(const GridShape& grid) const {
 
 Vector Mapping::dynamicPowerAt(const WorkloadMix& mix, Seconds traceTime,
                                Hertz nominalFrequency) const {
-  Vector power;
-  dynamicPowerInto(mix, traceTime, nominalFrequency, power);
-  return power;
-}
-
-void Mapping::dynamicPowerInto(const WorkloadMix& mix, Seconds traceTime,
-                               Hertz nominalFrequency, Vector& out) const {
   HAYAT_REQUIRE(nominalFrequency > 0.0, "nominal frequency must be positive");
-  out.assign(coreThread_.size(), 0.0);
+  Vector out(coreThread_.size(), 0.0);
   for (std::size_t i = 0; i < coreThread_.size(); ++i) {
     const auto& slot = coreThread_[i];
     if (!slot.has_value()) continue;
@@ -109,6 +102,29 @@ void Mapping::dynamicPowerInto(const WorkloadMix& mix, Seconds traceTime,
     const ThreadPhase& phase =
         app.thread(slot->ref.thread).phaseAt(traceTime);
     out[i] = phase.dynamicPower * (slot->frequency / nominalFrequency);
+  }
+  return out;
+}
+
+void Mapping::slotsInto(const WorkloadMix& mix, Hertz nominalFrequency,
+                        CoreSlots& out) const {
+  HAYAT_REQUIRE(nominalFrequency > 0.0, "nominal frequency must be positive");
+  const std::size_t n = coreThread_.size();
+  out.busy.assign(n, 0);
+  out.profile.assign(n, nullptr);
+  out.powerScale.assign(n, 0.0);
+  out.frequency.assign(n, 0.0);
+  out.requiredFrequency.assign(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& slot = coreThread_[i];
+    if (!slot.has_value()) continue;
+    out.busy[i] = 1;
+    out.profile[i] =
+        &mix.applications[static_cast<std::size_t>(slot->ref.app)].thread(
+            slot->ref.thread);
+    out.powerScale[i] = slot->frequency / nominalFrequency;
+    out.frequency[i] = slot->frequency;
+    out.requiredFrequency[i] = slot->requiredFrequency;
   }
 }
 

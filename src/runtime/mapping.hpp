@@ -42,6 +42,18 @@ struct MappedThread {
   Hertz requiredFrequency = 0.0;
 };
 
+/// Structure-of-arrays copy of a Mapping's slots, one entry per core.
+/// The epoch step loop reads these contiguous arrays instead of the
+/// std::optional slots and rebuilds them only when the mapping changes
+/// (DESIGN.md §3.8).  Idle cores hold 0 / null.
+struct CoreSlots {
+  std::vector<unsigned char> busy;            ///< 1 iff the core hosts a thread
+  std::vector<const ThreadProfile*> profile;  ///< the hosted thread's trace
+  Vector powerScale;                          ///< frequency / nominalFrequency
+  Vector frequency;                           ///< operating frequency [Hz]
+  Vector requiredFrequency;                   ///< the thread's requirement
+};
+
 /// The assignment m_(i,j,k) with the Eq. (5) invariant enforced.
 class Mapping {
  public:
@@ -87,11 +99,6 @@ class Mapping {
   Vector dynamicPowerAt(const WorkloadMix& mix, Seconds traceTime,
                         Hertz nominalFrequency) const;
 
-  /// Allocation-free variant: writes the per-core dynamic power into
-  /// `out` (resized to coreCount()) — the epoch hot-loop entry point.
-  void dynamicPowerInto(const WorkloadMix& mix, Seconds traceTime,
-                        Hertz nominalFrequency, Vector& out) const;
-
   /// Per-core *average* dynamic power over the trace period (what the
   /// policies' predictors use — they know trace averages, not futures).
   Vector averageDynamicPower(const WorkloadMix& mix,
@@ -101,6 +108,12 @@ class Mapping {
   /// (resized to coreCount()) — the policy candidate-loop entry point.
   void averageDynamicPowerInto(const WorkloadMix& mix, Hertz nominalFrequency,
                                Vector& out) const;
+
+  /// Writes every slot into `out` (arrays resized to coreCount(); no
+  /// allocation once sized).  Phase dynamic power times
+  /// out.powerScale[i] is exactly dynamicPowerAt's per-core value.
+  void slotsInto(const WorkloadMix& mix, Hertz nominalFrequency,
+                 CoreSlots& out) const;
 
  private:
   std::vector<std::optional<MappedThread>> coreThread_;

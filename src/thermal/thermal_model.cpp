@@ -178,25 +178,26 @@ void ThermalModel::build() {
                fmtSig(config_.convectionResistance);
 }
 
-Vector ThermalModel::expandPower(const Vector& corePower) const {
+Vector ThermalModel::steadyState(const Vector& corePower) const {
+  Vector out;
+  Vector scratch;
+  steadyStateInto(corePower, out, scratch);
+  return out;
+}
+
+void ThermalModel::steadyStateInto(const Vector& corePower, Vector& out,
+                                   Vector& scratch) const {
   HAYAT_REQUIRE(static_cast<int>(corePower.size()) == cores_,
                 "power vector size must equal core count");
-  Vector nodePower(static_cast<std::size_t>(nodeCount()), 0.0);
+  // Power enters at die nodes [0, N) only.
+  out.assign(static_cast<std::size_t>(nodeCount()), 0.0);
   for (int i = 0; i < cores_; ++i) {
     HAYAT_REQUIRE(corePower[static_cast<std::size_t>(i)] >= 0.0,
                   "negative core power");
-    nodePower[static_cast<std::size_t>(i)] =
-        corePower[static_cast<std::size_t>(i)];
+    out[static_cast<std::size_t>(i)] = corePower[static_cast<std::size_t>(i)];
   }
-  return nodePower;
-}
-
-Vector ThermalModel::steadyState(const Vector& corePower) const {
-  Vector rhs = expandPower(corePower);
-  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] += ambientLoad_[i];
-  Vector scratch;
-  steadySolver_->solveInPlace(rhs, scratch);
-  return rhs;
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] += ambientLoad_[i];
+  steadySolver_->solveInPlace(out, scratch);
 }
 
 Vector ThermalModel::coreTemperatures(const Vector& nodeTemperatures) const {

@@ -84,6 +84,12 @@ class ThermalModel {
   /// (size == coreCount()).  Returns all node temperatures.
   Vector steadyState(const Vector& corePower) const;
 
+  /// Allocation-free variant: writes all node temperatures into `out`
+  /// (resized to nodeCount()); `scratch` is the solver's reusable
+  /// workspace.  Bitwise equal to steadyState(corePower).
+  void steadyStateInto(const Vector& corePower, Vector& out,
+                       Vector& scratch) const;
+
   /// Extracts the die (core) temperatures from a node-temperature vector.
   Vector coreTemperatures(const Vector& nodeTemperatures) const;
 
@@ -136,8 +142,6 @@ class ThermalModel {
   /// Ambient contribution vector b with steady state G T = P_nodes + b.
   const Vector& ambientLoad() const { return ambientLoad_; }
 
-  /// Expands a per-core power vector to a per-node vector (die layer).
-  Vector expandPower(const Vector& corePower) const;
 
   /// The factored implicit-Euler operator (C/dt + G) for a fixed step.
   /// The conductance matrix is constant for the lifetime of the model, so

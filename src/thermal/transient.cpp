@@ -27,7 +27,8 @@ void TransientSolver::stepInPlace(Vector& nodeTemperatures,
   HAYAT_REQUIRE(static_cast<int>(corePower.size()) == cores,
                 "power vector size must equal core count");
   // Build the right-hand side (C/dt) T_n + P + b into `scratch`,
-  // inlining expandPower so no per-node power vector is allocated.
+  // adding power at the die nodes so no per-node power vector is
+  // allocated.
   scratch.resize(n);
   const Vector& b = model_->ambientLoad();
   const Vector& capOverDt = op_->capOverDt;

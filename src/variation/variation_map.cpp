@@ -1,18 +1,10 @@
 #include "variation/variation_map.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
 namespace hayat {
-
-namespace {
-
-/// Boltzmann constant over elementary charge [V/K]; VT = (k/q) * T.
-constexpr double kBoltzmannOverCharge = 8.617333262e-5;
-
-}  // namespace
 
 VariationMap::VariationMap(const VariationMapConfig& config,
                            std::vector<double> theta, Rng& rng)
@@ -64,6 +56,12 @@ VariationMap::VariationMap(const VariationMapConfig& config,
     fmax_[static_cast<std::size_t>(core)] =
         config.nominalFrequency / worstTheta;
   }
+
+  pointsPerCore_ = pointsPerCore;
+  vthDeltas_.reserve(static_cast<std::size_t>(cores) *
+                     static_cast<std::size_t>(pointsPerCore));
+  for (const auto& pts : corePoints_)
+    for (int p : pts) vthDeltas_.push_back(pointVthDelta(p));
 }
 
 double VariationMap::theta(int pointIndex) const {
@@ -91,12 +89,10 @@ Volts VariationMap::coreVthDelta(int core) const {
 double VariationMap::coreLeakageMultiplier(int core,
                                            Kelvin temperature) const {
   HAYAT_REQUIRE(temperature > 0.0, "temperature must be positive kelvin");
-  const double vt = kBoltzmannOverCharge * temperature;
-  const double nvt = config_.subthresholdSlopeFactor * vt;
-  const auto& pts = corePoints(core);
-  double acc = 0.0;
-  for (int p : pts) acc += std::exp(-pointVthDelta(p) / nvt);
-  return acc / static_cast<double>(pts.size());
+  HAYAT_REQUIRE(core >= 0 && core < coreCount(), "core index out of range");
+  return leakageMultiplier(
+      vthDeltas_.data() + static_cast<std::ptrdiff_t>(core) * pointsPerCore_,
+      pointsPerCore_, config_.subthresholdSlopeFactor, temperature);
 }
 
 const std::vector<int>& VariationMap::corePoints(int core) const {

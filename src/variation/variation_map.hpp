@@ -19,6 +19,7 @@
 // frequency/leakage variation trade-off the paper exploits.
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -69,6 +70,15 @@ class VariationMap {
   /// convention makes low-Vth (fast) cores leakier.
   double coreLeakageMultiplier(int core, Kelvin temperature) const;
 
+  /// Grid points per core (pointsPerCoreEdge squared).
+  int pointsPerCore() const { return pointsPerCore_; }
+
+  /// Every core's grid-point Vth deltas in one flat array built at
+  /// construction: entries [i * pointsPerCore(), (i + 1) * pointsPerCore())
+  /// are pointVthDelta(p) for p in corePoints(i), in that order.  The
+  /// leakage hot loops read this instead of the per-core index lists.
+  const double* vthDeltaData() const { return vthDeltas_.data(); }
+
   /// Grid-point indices covered by core i (row-major point indices).
   const std::vector<int>& corePoints(int core) const;
 
@@ -84,6 +94,21 @@ class VariationMap {
   std::vector<std::vector<int>> corePoints_;
   std::vector<std::vector<int>> cpPoints_;
   std::vector<Hertz> fmax_;
+  int pointsPerCore_ = 0;
+  std::vector<double> vthDeltas_;
 };
+
+/// The Eq. (2) multiplier from one core's `count` grid-point Vth deltas:
+/// the mean of exp(-dVth / (n * VT)) at temperature T.  The one
+/// implementation behind VariationMap::coreLeakageMultiplier and the
+/// LeakageModel kernel; unchecked (T > 0 and count >= 1 are the caller's).
+inline double leakageMultiplier(const double* vthDeltas, int count,
+                                double slopeFactor, Kelvin temperature) {
+  const double vt = kBoltzmannOverCharge * temperature;
+  const double nvt = slopeFactor * vt;
+  double acc = 0.0;
+  for (int k = 0; k < count; ++k) acc += std::exp(-vthDeltas[k] / nvt);
+  return acc / static_cast<double>(count);
+}
 
 }  // namespace hayat

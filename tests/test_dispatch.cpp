@@ -816,8 +816,7 @@ TEST(FaultInjectionTest, SoakSweepSurvivesEveryWorkerDying) {
 
   // Every slot's incarnation _exit(43)s after serving one result, so the
   // sweep finishes only if all four slots are killed and respawned —
-  // repeatedly — until their respawn budgets run out and the lanes run
-  // the rest in-process.
+  // repeatedly; each served result restores a lane's respawn budget.
   const ScopedEnv plan("HAYAT_FAULT_PLAN",
                        "die:worker=0,after=1;die:worker=1,after=1;"
                        "die:worker=2,after=1;die:worker=3,after=1");
@@ -829,6 +828,45 @@ TEST(FaultInjectionTest, SoakSweepSurvivesEveryWorkerDying) {
   EXPECT_GE(delta.deaths, 4u);    // each slot died at least once
   EXPECT_GE(delta.respawns, 4u);  // and came back
   EXPECT_EQ(delta.remote + delta.fallback, 16u);
+}
+
+TEST(FaultInjectionTest, TransientLossesNeverExhaustTheRespawnBudget) {
+  ExperimentSpec spec = testSpec();
+  spec.chips = {0, 1, 2, 3};
+  spec.darkFractions = {0.25, 0.5};
+  spec.repetitions = 2;  // 32 tasks: slot 0 serves far more than 4
+  const SweepTable serial = serialReference(spec);
+  ASSERT_EQ(serial.runs.size(), 32u);
+
+  // Slot 0's every incarnation dies after one result: far more than
+  // kLaneRespawns losses over the sweep, but never two in a row, so the
+  // lane keeps its worker and no task falls back in-process.
+  const ScopedEnv plan("HAYAT_FAULT_PLAN", "die:worker=0,after=1");
+  const LaneCounters before = LaneCounters::now();
+  const SweepTable table = runDispatched(spec, "proc:2");
+  const LaneCounters delta = LaneCounters::now().since(before);
+
+  EXPECT_EQ(tableBytes(serial), tableBytes(table));
+  EXPECT_EQ(delta.fallback, 0u);
+  EXPECT_EQ(delta.remote, 32u);
+}
+
+TEST(FaultInjectionTest, WorkerDyingOnEveryTaskFallsBackAfterTheBudget) {
+  ExperimentSpec spec = testSpec();  // 4 tasks
+  const SweepTable serial = serialReference(spec);
+
+  // The worker dies before serving anything: kLaneRespawns respawns, one
+  // more loss, then the lane runs every task in-process.
+  const ScopedEnv plan("HAYAT_FAULT_PLAN", "die:worker=0,after=0");
+  const LaneCounters before = LaneCounters::now();
+  const SweepTable table = runDispatched(spec, "proc:1");
+  const LaneCounters delta = LaneCounters::now().since(before);
+
+  EXPECT_EQ(tableBytes(serial), tableBytes(table));
+  EXPECT_EQ(delta.respawns, static_cast<std::uint64_t>(kLaneRespawns));
+  EXPECT_EQ(delta.deaths, static_cast<std::uint64_t>(kLaneRespawns) + 1);
+  EXPECT_EQ(delta.remote, 0u);
+  EXPECT_EQ(delta.fallback, 4u);
 }
 
 // --------------------------------------------------------- cache pushing

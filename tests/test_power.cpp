@@ -3,6 +3,11 @@
 // leakage-temperature fixed point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "common/error.hpp"
 #include "power/dynamic_power.hpp"
 #include "power/leakage.hpp"
@@ -81,6 +86,79 @@ TEST(Leakage, FastSiliconLeaksMoreThroughVariation) {
   const LeakageModel lmSlow(LeakageConfig{}, slow);
   EXPECT_GT(lmFast.coreLeakageOn(0, 330.0), 1.18);
   EXPECT_LT(lmSlow.coreLeakageOn(0, 330.0), 1.18);
+}
+
+/// The leakage formula as first written, per call, from the public
+/// variation-map accessors: nominal * f(T) * Eq. (2) multiplier.
+double referenceLeakageOn(const LeakageConfig& c, const VariationMap& vm,
+                          int core, Kelvin temperature) {
+  const double kB = 8.617333262e-5;
+  auto unnormalized = [&](Kelvin x) {
+    const double vt = kB * x;
+    return x * x * std::exp(-c.nominalVth / (c.subthresholdSlopeFactor * vt));
+  };
+  const double factor = unnormalized(std::min(temperature, 400.0)) /
+                        unnormalized(c.referenceTemperature);
+  const double nvt = vm.config().subthresholdSlopeFactor * (kB * temperature);
+  const std::vector<int>& pts = vm.corePoints(core);
+  double acc = 0.0;
+  for (int p : pts) acc += std::exp(-vm.pointVthDelta(p) / nvt);
+  const double multiplier = acc / static_cast<double>(pts.size());
+  return c.nominalCoreLeakage * factor * multiplier;
+}
+
+bool bitsEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Leakage, KernelBitwiseMatchesFormulaOnTemperatureGrid) {
+  // A varied chip (distinct theta per grid point) and a non-default
+  // config, so every term of the formula carries weight.
+  VariationMapConfig mc;
+  mc.coreGrid = GridShape(3, 3);
+  mc.pointsPerCoreEdge = 2;
+  std::vector<double> theta(36);
+  for (std::size_t p = 0; p < theta.size(); ++p)
+    theta[p] = 0.9 + 0.0057 * static_cast<double>((p * 7) % 36);
+  Rng rng(3);
+  const VariationMap vm(mc, theta, rng);
+  LeakageConfig c;
+  c.referenceTemperature = 331.5;
+  const LeakageModel lm(c, vm);
+
+  // Below, at and above the reference; up to, at and past the 400 K clamp.
+  std::vector<Kelvin> temps = {250.0, 318.15, 331.5, 345.678, 368.15,
+                               399.999, 400.0, 400.001, 450.0, 900.0};
+  for (Kelvin t = 300.0; t < 420.0; t += 0.37) temps.push_back(t);
+
+  const std::size_t n = static_cast<std::size_t>(vm.coreCount());
+  std::vector<unsigned char> on(n);
+  for (std::size_t i = 0; i < n; ++i) on[i] = i % 3 != 1;
+  Vector batchTemps(n);
+  Vector batch;
+  for (const Kelvin t : temps) {
+    for (int core = 0; core < vm.coreCount(); ++core) {
+      const double ref = referenceLeakageOn(c, vm, core, t);
+      EXPECT_TRUE(bitsEqual(lm.coreLeakageOn(core, t), ref))
+          << "core " << core << " T " << t;
+      EXPECT_TRUE(bitsEqual(lm.coreLeakage(core, t, true), ref));
+    }
+    // The batch entry point, each core at its own temperature.
+    for (std::size_t i = 0; i < n; ++i)
+      batchTemps[i] = t + 0.125 * static_cast<double>(i);
+    lm.leakageInto(batchTemps, on, batch);
+    for (int core = 0; core < vm.coreCount(); ++core) {
+      const auto s = static_cast<std::size_t>(core);
+      const double ref = on[s] != 0
+                             ? referenceLeakageOn(c, vm, core, batchTemps[s])
+                             : c.gatedCoreLeakage;
+      EXPECT_TRUE(bitsEqual(batch[s], ref))
+          << "leakageInto core " << core << " T " << batchTemps[s];
+    }
+  }
+  EXPECT_TRUE(bitsEqual(lm.temperatureFactor(331.5), 1.0));
+  EXPECT_TRUE(
+      bitsEqual(lm.temperatureFactor(400.0), lm.temperatureFactor(900.0)));
 }
 
 TEST(Leakage, RejectsBadTemperature) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
@@ -727,6 +728,131 @@ TEST_F(EpochFixture, DeterministicRuns) {
   EXPECT_LT(maxAbsDiff(a.averageTemperature, b.averageTemperature), 1e-12);
 }
 
+// --- EpochResult goldens ----------------------------------------------------
+
+/// Every field of an EpochResult, doubles at %.17g, in declaration order.
+std::string epochResultText(const EpochResult& r) {
+  std::string out;
+  char buf[64];
+  auto num = [&](double v) {
+    std::snprintf(buf, sizeof(buf), "%.17g,", v);
+    out += buf;
+  };
+  for (double v : r.averageTemperature) num(v);
+  out += '|';
+  for (double v : r.peakTemperature) num(v);
+  out += '|';
+  for (double v : r.duty) num(v);
+  out += '|';
+  num(r.chipPeak);
+  num(r.chipTimeAverage);
+  num(static_cast<double>(r.dtm.migrations));
+  num(static_cast<double>(r.dtm.throttles));
+  num(static_cast<double>(r.dtm.restores));
+  num(r.throttledSteps);
+  num(r.totalSteps);
+  num(r.achievedIps);
+  num(r.requiredIps);
+  out += '|';
+  for (int c = 0; c < r.finalMapping.coreCount(); ++c) {
+    const auto& slot = r.finalMapping.onCore(c);
+    if (!slot.has_value()) {
+      out += "-;";
+      continue;
+    }
+    num(slot->ref.app);
+    num(slot->ref.thread);
+    num(slot->core);
+    num(slot->frequency);
+    num(slot->requiredFrequency);
+    out += ';';
+  }
+  return out;
+}
+
+/// FNV-1a 64 of the text above: a compact, platform-independent pin.
+std::uint64_t epochResultHash(const EpochResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char ch : epochResultText(r)) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+SystemConfig gridConfig(int edge) {
+  SystemConfig sc;
+  sc.population.coreGrid = GridShape(edge, edge);
+  sc.pathsPerCore = 3;
+  sc.elementsPerPath = 12;
+  return sc;
+}
+
+Mapping scatterMapping(const WorkloadMix& mix, const Chip& chip,
+                       int onBudget) {
+  const auto k = chooseParallelism(mix, onBudget);
+  const auto threads = runnableThreads(mix, k);
+  const int n = chip.coreCount();
+  Mapping m(n);
+  int idx = 0;
+  for (const RunnableThread& t : threads) {
+    const int core =
+        static_cast<int>((static_cast<long>(idx) * n) /
+                         static_cast<long>(threads.size()));
+    m.assign(t.ref, core, std::min(t.minFrequency, chip.currentFmax(core)),
+             t.minFrequency);
+    ++idx;
+  }
+  return m;
+}
+
+// Hashes recorded before the step loop was restructured (flat per-window
+// state, one leakage kernel, DTM quiet ticks): any drift in a single bit
+// of any field of these windows fails here.
+TEST(EpochGolden, DtmActiveWindow) {
+  clearTransientMemoForTest();
+  System system = System::create(gridConfig(4), 77);
+  const WorkloadMix mix = smallMix(10, 5);
+  EpochConfig ec;
+  ec.window = 0.5;
+  // Lowered Tsafe and a narrow cold margin: every DTM action kind fires.
+  ec.dtm.tsafe = 338.0;
+  ec.dtm.coldMargin = 2.0;
+  const EpochSimulator sim(system.chip(), system.thermal(), system.leakage(),
+                           ec);
+  const EpochResult r = sim.run(scatterMapping(mix, system.chip(), 10), mix);
+  EXPECT_GT(r.dtm.migrations, 0);
+  EXPECT_GT(r.dtm.throttles, 0);
+  EXPECT_GT(r.dtm.restores, 0);
+  EXPECT_EQ(epochResultHash(r), 0xc0d18b62ad1f573bULL) << epochResultText(r);
+}
+
+TEST(EpochGolden, NoisySensorWindow) {
+  clearTransientMemoForTest();
+  System system = System::create(gridConfig(4), 77);
+  const WorkloadMix mix = smallMix(8, 5);
+  EpochConfig ec;
+  ec.window = 0.5;
+  ec.dtm.tsafe = 340.0;
+  ec.thermalSensorNoise.gaussianSigma = 1.5;
+  ec.thermalSensorNoise.quantization = 0.25;
+  const EpochSimulator sim(system.chip(), system.thermal(), system.leakage(),
+                           ec);
+  const EpochResult r = sim.run(scatterMapping(mix, system.chip(), 8), mix);
+  EXPECT_GT(r.dtm.events(), 0);
+  EXPECT_EQ(epochResultHash(r), 0x2cc6e99326de2e39ULL) << epochResultText(r);
+}
+
+TEST(EpochGolden, HalfDarkWindow) {
+  clearTransientMemoForTest();
+  System system = System::create(gridConfig(8), 77);
+  const WorkloadMix mix = smallMix(32, 5);
+  const EpochSimulator sim(system.chip(), system.thermal(), system.leakage());
+  const EpochResult r = sim.run(scatterMapping(mix, system.chip(), 32), mix);
+  EXPECT_EQ(r.finalMapping.assignedCount(), 32);
+  EXPECT_EQ(epochResultHash(r), 0x91c288ac6d5c3be1ULL) << epochResultText(r);
+}
+
 // --- §3.13 fast paths: early exit + trajectory memo ------------------------
 
 /// Sets one environment flag for the lifetime of a scope.
@@ -774,32 +900,6 @@ void expectEpochResultsBitwiseEqual(const EpochResult& a, const EpochResult& b,
     EXPECT_EQ(sa->requiredFrequency, sb->requiredFrequency)
         << label << " core " << c;
   }
-}
-
-SystemConfig gridConfig(int edge) {
-  SystemConfig sc;
-  sc.population.coreGrid = GridShape(edge, edge);
-  sc.pathsPerCore = 3;
-  sc.elementsPerPath = 12;
-  return sc;
-}
-
-Mapping scatterMapping(const WorkloadMix& mix, const Chip& chip,
-                       int onBudget) {
-  const auto k = chooseParallelism(mix, onBudget);
-  const auto threads = runnableThreads(mix, k);
-  const int n = chip.coreCount();
-  Mapping m(n);
-  int idx = 0;
-  for (const RunnableThread& t : threads) {
-    const int core =
-        static_cast<int>((static_cast<long>(idx) * n) /
-                         static_cast<long>(threads.size()));
-    m.assign(t.ref, core, std::min(t.minFrequency, chip.currentFmax(core)),
-             t.minFrequency);
-    ++idx;
-  }
-  return m;
 }
 
 TEST(EpochEarlyExit, BitwiseMatchesFullWindowAcrossSizes) {

@@ -115,19 +115,19 @@ TEST(HistogramTest, PercentileInterpolatesWithinBuckets) {
 }
 
 TEST(RegistryTest, LookupsAreStableReferences) {
-  Counter& a = Registry::global().counter("test_registry_stable_total");
-  Counter& b = Registry::global().counter("test_registry_stable_total");
+  Counter& a = Registry::global().counter("hayat_test_registry_stable_total");
+  Counter& b = Registry::global().counter("hayat_test_registry_stable_total");
   EXPECT_EQ(&a, &b);
   Histogram& h =
-      Registry::global().histogram("test_registry_stable_seconds", {1.0});
-  Histogram& h2 =
-      Registry::global().histogram("test_registry_stable_seconds", {99.0});
+      Registry::global().histogram("hayat_test_registry_stable_seconds", {1.0});
+  Histogram& h2 = Registry::global().histogram(
+      "hayat_test_registry_stable_seconds", {99.0});
   EXPECT_EQ(&h, &h2);  // later bounds are ignored
   EXPECT_EQ(h.upperBounds(), std::vector<double>{1.0});
 }
 
 TEST(CounterDeltaCodecTest, EncodesOnlyAdvancesAndRoundTrips) {
-  Counter& c = Registry::global().counter("test_delta_codec_total");
+  Counter& c = Registry::global().counter("hayat_test_delta_codec_total");
   std::map<std::string, std::uint64_t> lastSent;
   encodeCounterDeltas(lastSent);  // baseline: absorb current values
   c.add(7);
@@ -135,7 +135,7 @@ TEST(CounterDeltaCodecTest, EncodesOnlyAdvancesAndRoundTrips) {
   std::vector<std::pair<std::string, std::uint64_t>> decoded;
   ASSERT_TRUE(decodeCounterDeltas(encodeCounterDeltas(lastSent), decoded));
   ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].first, "test_delta_codec_total");
+  EXPECT_EQ(decoded[0].first, "hayat_test_delta_codec_total");
   EXPECT_EQ(decoded[0].second, 7u);
 
   // Nothing advanced since: the next delta payload is empty.

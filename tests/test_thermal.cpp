@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -621,7 +622,10 @@ TEST(BlockedSweeps, PermutedSolveMatchesReferenceSweepFuzz) {
     lu.solveInPlace(reference);
 
     Vector fused = b;
-    Vector scratch(static_cast<std::size_t>(n));
+    // Poisoned scratch: a read of any element before the sweep writes it
+    // (a wrong profile bound, say) turns the result into NaN.
+    Vector scratch(static_cast<std::size_t>(n),
+                   std::numeric_limits<double>::quiet_NaN());
     const bool matched = lu.solvePermuted(fused, scratch, perm, nullptr);
     EXPECT_FALSE(matched) << "null compare must report false";
     for (int i = 0; i < n; ++i) {

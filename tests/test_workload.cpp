@@ -2,10 +2,13 @@
 // applications, and the Parsec-like mix generator.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "workload/application.hpp"
 #include "workload/generator.hpp"
 #include "workload/thread_profile.hpp"
@@ -31,6 +34,43 @@ TEST(ThreadProfile, PhaseAtCyclesThroughTrace) {
   // Cyclic wrap: t = 4.5 is back in phase 0.
   EXPECT_DOUBLE_EQ(p.phaseAt(4.5).dynamicPower, 4.0);
   EXPECT_DOUBLE_EQ(p.phaseAt(400.25).dynamicPower, 4.0);
+}
+
+/// phaseAt as first written: fmod on every call.
+int referencePhaseIndex(const ThreadProfile& p, Seconds t) {
+  Seconds within = std::fmod(t, p.period());
+  for (int k = 0; k < p.phaseCount(); ++k) {
+    if (within < p.phase(k).duration) return k;
+    within -= p.phase(k).duration;
+  }
+  return p.phaseCount() - 1;
+}
+
+TEST(ThreadProfile, PhaseAtMatchesFmodReferenceAtEveryStep) {
+  // phaseAt skips the fmod when t < period; the epoch loop calls it at
+  // s * 6.6 ms.  Random profiles span the suite's 0.4-7.5 s periods; one
+  // in four has phases (hence boundaries and the period) at exact step
+  // times, so boundary steps are covered on both sides of the shortcut.
+  const Seconds step = 6.6e-3;
+  Rng rng(2024);
+  for (int n = 0; n < 1000; ++n) {
+    const int phases = 1 + rng.uniformInt(5);
+    const bool onSteps = n % 4 == 0;
+    std::vector<ThreadPhase> trace;
+    for (int k = 0; k < phases; ++k) {
+      ThreadPhase ph;
+      ph.duration = onSteps ? step * (12 + rng.uniformInt(220))
+                            : rng.uniform(0.4, 7.5) / phases;
+      ph.dynamicPower = k;
+      trace.push_back(ph);
+    }
+    const ThreadProfile p(trace, 1.0e9);
+    for (int s = 0; s < 1200; ++s) {
+      const Seconds t = s * step;
+      ASSERT_EQ(&p.phaseAt(t), &p.phase(referencePhaseIndex(p, t)))
+          << "profile " << n << " step " << s;
+    }
+  }
 }
 
 TEST(ThreadProfile, TimeWeightedAverages) {
