@@ -86,9 +86,8 @@ class DtmManager {
   long tick_ = 0;
   /// Last migration tick per thread, keyed by (app, thread).
   std::map<std::pair<int, int>, long> lastMigration_;
-  /// Hot-core work list, kept as a member so quiescent enforce() calls
-  /// (no core at Tsafe — the steady-state epoch common case) allocate
-  /// nothing.
+  /// Hot-core work list, kept as a member so the enforce() calls that
+  /// act reuse one buffer instead of allocating per call.
   std::vector<int> hotScratch_;
 };
 

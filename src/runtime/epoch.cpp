@@ -446,7 +446,7 @@ EpochResult EpochSimulator::run(const Mapping& initialMapping,
             {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0});
     windows.add();
     if (loopAllocs > 0) stepAllocs.add(loopAllocs);
-    if (skippedLocal > 0) skipped.add(skippedLocal);
+    if (skippedLocal > 0) skipped.add(static_cast<double>(skippedLocal));
     if (windowT0 != 0)
       duration.observe(static_cast<double>(telemetry::nowNanos() - windowT0) *
                        1e-9);

@@ -90,22 +90,6 @@ DarkCoreMap Mapping::toDarkCoreMap(const GridShape& grid) const {
   return DarkCoreMap(grid, std::move(on));
 }
 
-Vector Mapping::dynamicPowerAt(const WorkloadMix& mix, Seconds traceTime,
-                               Hertz nominalFrequency) const {
-  HAYAT_REQUIRE(nominalFrequency > 0.0, "nominal frequency must be positive");
-  Vector out(coreThread_.size(), 0.0);
-  for (std::size_t i = 0; i < coreThread_.size(); ++i) {
-    const auto& slot = coreThread_[i];
-    if (!slot.has_value()) continue;
-    const Application& app =
-        mix.applications[static_cast<std::size_t>(slot->ref.app)];
-    const ThreadPhase& phase =
-        app.thread(slot->ref.thread).phaseAt(traceTime);
-    out[i] = phase.dynamicPower * (slot->frequency / nominalFrequency);
-  }
-  return out;
-}
-
 void Mapping::slotsInto(const WorkloadMix& mix, Hertz nominalFrequency,
                         CoreSlots& out) const {
   HAYAT_REQUIRE(nominalFrequency > 0.0, "nominal frequency must be positive");

@@ -93,12 +93,6 @@ class Mapping {
   /// iff it hosts a thread.
   DarkCoreMap toDarkCoreMap(const GridShape& grid) const;
 
-  /// Per-core dynamic power at nominal-frequency trace powers scaled to
-  /// each thread's operating frequency, for the phase active at trace
-  /// time t within the mix.
-  Vector dynamicPowerAt(const WorkloadMix& mix, Seconds traceTime,
-                        Hertz nominalFrequency) const;
-
   /// Per-core *average* dynamic power over the trace period (what the
   /// policies' predictors use — they know trace averages, not futures).
   Vector averageDynamicPower(const WorkloadMix& mix,
@@ -110,8 +104,8 @@ class Mapping {
                                Vector& out) const;
 
   /// Writes every slot into `out` (arrays resized to coreCount(); no
-  /// allocation once sized).  Phase dynamic power times
-  /// out.powerScale[i] is exactly dynamicPowerAt's per-core value.
+  /// allocation once sized).  A busy core's dynamic power at trace time
+  /// t is out.profile[i]->phaseAt(t).dynamicPower * out.powerScale[i].
   void slotsInto(const WorkloadMix& mix, Hertz nominalFrequency,
                  CoreSlots& out) const;
 

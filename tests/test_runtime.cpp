@@ -126,10 +126,25 @@ TEST(Mapping, DynamicPowerScalesWithFrequency) {
 TEST(Mapping, PhasedPowerFollowsTrace) {
   const WorkloadMix mix = smallMix();
   Mapping m(16);
+  ASSERT_GE(mix.applications[0].maxThreads(), 2);
   m.assign({0, 0}, 2, 3.0e9);
+  m.assign({0, 1}, 5, 1.5e9);
   const ThreadProfile& prof = mix.applications[0].thread(0);
-  const Vector p0 = m.dynamicPowerAt(mix, 0.0, 3.0e9);
-  EXPECT_NEAR(p0[2], prof.phaseAt(0.0).dynamicPower, 1e-9);
+  CoreSlots slots;
+  m.slotsInto(mix, 3.0e9, slots);
+  ASSERT_EQ(slots.profile[2], &prof);
+  EXPECT_EQ(slots.profile[2]->phaseAt(0.0).dynamicPower * slots.powerScale[2],
+            prof.phaseAt(0.0).dynamicPower * (3.0e9 / 3.0e9));
+  const ThreadProfile& half = mix.applications[0].thread(1);
+  EXPECT_EQ(slots.profile[5]->phaseAt(0.0).dynamicPower * slots.powerScale[5],
+            half.phaseAt(0.0).dynamicPower * (1.5e9 / 3.0e9));
+  EXPECT_EQ(slots.frequency[5], 1.5e9);
+  for (int i = 0; i < 16; ++i) {
+    if (i == 2 || i == 5) continue;
+    EXPECT_EQ(slots.busy[i], 0);
+    EXPECT_EQ(slots.powerScale[i], 0.0);
+    EXPECT_EQ(slots.profile[i], nullptr);
+  }
 }
 
 // --- NoC model ----------------------------------------------------------------
